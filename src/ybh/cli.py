@@ -4,17 +4,15 @@ Subcommands: check, cohomology, deform, construct, selftest.  Exit codes:
 0 when every requested check passes, 1 when a mathematical check fails,
 2 on input errors (bad files, bad flags, tripped resource guards).
 
-Reports are canonical JSON (sorted keys, string scalars, timing null unless
---timing is given) so reruns with the same seed are byte-identical.
+Reports are canonical JSON (sorted keys, string scalars, `timing` always
+null) so reruns with the same seed are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import time
 
 from . import fixtures
 from .braided import BraidedAlgebra
@@ -24,7 +22,7 @@ from .cohomology import (ComplexSlice, YBH2Cochain, cochain2_sizes,
 from .constructions import MCQ, FiniteGroup, from_heap, from_mcq, trivial_braiding
 from .deformation import (extend_to_quadratic, obstruction_is_cocycle,
                           verify_deformation)
-from .errors import InputError, MathCheckFailure, ResourceLimitError, YbhError
+from .errors import InputError, ResourceLimitError, YbhError
 from .hopf import HopfAlgebra, braided_frobenius, braided_from_hopf, group_hopf
 from .rng import SplitMix64
 from .scalars import FieldSpec, field_for
@@ -306,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    start = time.monotonic()
     try:
         code = args.fn(args)
     except ResourceLimitError as exc:
@@ -315,13 +312,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
-    except MathCheckFailure as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return _EXIT_FAIL
     except YbhError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return _EXIT_FAIL
-    del start
     return code
 
 

@@ -377,12 +377,6 @@ def delta3(b: BraidedAlgebra, c: YBH3Cochain) -> YBH4Cochain:
     return YBH4Cochain(delta3_components(b.mu, b.r, c))
 
 
-def mixed_differential_d3(b: BraidedAlgebra, c: YBH3Cochain) -> list:
-    """The degree-4 components in summand order."""
-    out = delta3(b, c)
-    return [out.components[name] for name in C4_SUMMANDS]
-
-
 # ---------------------------------------------------------------- flattening
 
 def cochain2_sizes(d: int) -> tuple:
@@ -538,18 +532,6 @@ def _differential_matrix_uncached(b: BraidedAlgebra, degree: int) -> ExactMatrix
     raise InputError("differential_matrix supports degrees 1 and 2")
 
 
-def materialize_d3(b: BraidedAlgebra, max_dim: int | None = None) -> ExactMatrix:
-    field, d = b.field, b.dim
-    _guard(d, max_dim, MAX_DIM_DEGREE3, "degree-3 differential matrix")
-    rows = cochain4_size(d)
-    cols = sum(cochain3_sizes(d))
-    columns = []
-    for idx in range(cols):
-        c3 = unflatten3({idx: field.one}, field, d)
-        columns.append(flatten4(delta3(b, c3)))
-    return ExactMatrix.from_columns(field, rows, columns)
-
-
 def _guard(d: int, max_dim: int | None, default: int, what: str):
     bound = default if max_dim is None else max_dim
     if d > bound:
@@ -644,8 +626,8 @@ def iota_r(b: BraidedAlgebra, c: YBH2Cochain, check: bool = True) -> YBH2Cochain
 
 @dataclass
 class ComplexSlice:
-    """D1, D2 as matrices plus delta^3 as an operator handle, with the two
-    chain identities verified exactly at construction."""
+    """D1, D2 as matrices, with the two chain identities (D2 D1 = 0 and, when
+    check_d3, delta^3 D2 = 0) verified exactly at construction."""
     algebra: BraidedAlgebra
     d1: ExactMatrix
     d2: ExactMatrix
@@ -665,6 +647,3 @@ class ComplexSlice:
                 if not delta3(b, c3).is_zero():
                     raise InputError("chain identity D3 o D2 = 0 fails")
         return cls(b, d1, d2)
-
-    def apply_d3(self, c: YBH3Cochain) -> YBH4Cochain:
-        return delta3(self.algebra, c)

@@ -207,13 +207,6 @@ def obstruction_is_cocycle(b: BraidedAlgebra, c: YBH2Cochain) -> bool:
     return delta3(b, bundle.as_cochain3()).is_zero()
 
 
-def bundle_in_d3_kernel(s: DeformationSeries, r: int) -> bool:
-    """The same test at any degree r >= 2, for exploration: proved for r = 2,
-    reported (not asserted) beyond."""
-    bundle = obstruction_bundle(s, r)
-    return delta3(s.base, bundle.as_cochain3()).is_zero()
-
-
 # ---------------------------------------------------------------- quadratic extension
 
 @dataclass

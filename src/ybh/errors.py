@@ -1,8 +1,9 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto exit codes: InputError and its subclasses exit 2,
-MathCheckFailure exits 1, InternalCheckError (a proven identity failing,
-which indicates a bug) also exits 1 but with a loud diagnostic.
+InternalCheckError (a proven identity failing, which indicates a bug) exits 1
+with a loud diagnostic.  A requested check that comes out false is not an
+exception: the command reports it and exits 1.
 """
 
 
@@ -40,10 +41,6 @@ class ValidationError(InputError):
 
 class ResourceLimitError(InputError):
     """Dimension guard tripped; rerun with a higher --max-dim or YBH_MAX_DIM."""
-
-
-class MathCheckFailure(YbhError):
-    """A requested mathematical check came out false (not an input problem)."""
 
 
 class InternalCheckError(YbhError):

@@ -1,12 +1,16 @@
 """Exact Gaussian elimination over Q and F_p: RREF, kernels, solving, span tests.
 
-Deterministic by construction: pivots are chosen as the first nonzero row in
-column order, so bases and reduced forms are reproducible across runs and
-platforms.  Over Q the forward pass works on primitive integer rows (each row
-is rescaled to coprime integers after every combination), which keeps
-intermediate entries small on the d=4 differential matrices; pivots are
-normalized to 1 only at the end.  Over F_p small matrices are eliminated as
-dense numpy residue arrays, large ones with sparse rows.
+One elimination pass per matrix, run on first use and cached on the
+ExactMatrix (matrices are not modified after construction), answers every
+question asked of it.  The pass is Gauss-Jordan on sparse row dicts with a
+column -> rows index, so a pivot step touches only the rows holding the pivot
+column.  Pivots are deterministic (in column order, the first row at or below
+the current pivot row), so reduced forms and bases are reproducible.  Over Q
+rows are kept primitive (coprime integers, positive leading entry), which
+keeps entries small, and pivots are normalized to 1 at the end; over F_p the
+pivot row is made monic when chosen.  The pass records its row operations:
+solve, image_membership, in_span and invert_matrix replay them on their
+right-hand sides instead of eliminating an augmented matrix.
 
 Truncated rings are rejected: they have zero divisors, and the package never
 eliminates over them (matrix-vector evaluation lives on TensorMap instead).
@@ -16,14 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-
-import numpy as np
+from math import gcd, lcm
 
 from .errors import InputError, UnsupportedRingError
 from .scalars import PrimeField, RationalField, TruncatedRing
-
-_DENSE_CELLS = 1 << 22
 
 
 def _require_base_field(field, what: str):
@@ -36,7 +36,7 @@ def _require_base_field(field, what: str):
 class ExactMatrix:
     """Sparse column-major exact matrix: {col: {row: scalar}}, no stored zeros."""
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "data", "_elimination")
 
     def __init__(self, field, rows: int, cols: int, data: dict | None = None):
         _require_base_field(field, "ExactMatrix")
@@ -44,6 +44,7 @@ class ExactMatrix:
         self.rows = rows
         self.cols = cols
         self.data = data if data is not None else {}
+        self._elimination = None
 
     @classmethod
     def from_entries(cls, field, rows, cols, entries):
@@ -126,114 +127,52 @@ class ExactMatrix:
     def is_zero(self) -> bool:
         return not self.data
 
-    def transpose_entries(self):
-        return ((c, r, v) for r, c, v in self.entries())
-
     # ------------------------------------------------------------------ elimination
+
+    def _eliminated(self) -> "Elimination":
+        """The cached elimination of this matrix, computed on first use."""
+        if self._elimination is None:
+            self._elimination = _eliminate(self)
+        return self._elimination
 
     def rref(self):
         """Reduced row-echelon form; returns (ExactMatrix, pivot columns, rank)."""
-        reduced_rows, pivots = self._rref_rows()
+        e = self._eliminated()
         out = ExactMatrix(self.field, self.rows, self.cols)
-        for i, row in enumerate(reduced_rows):
+        for i, row in enumerate(e.reduced):
             for c, v in row.items():
                 out.data.setdefault(c, {})[i] = v
-        return out, pivots, len(pivots)
+        return out, list(e.pivots), e.rank
 
     def rank(self) -> int:
-        return len(self._rref_rows()[1])
-
-    def _rref_rows(self, aug: dict | None = None):
-        """Row dicts of the RREF.  aug maps one extra virtual column (index
-        self.cols) carrying a right-hand side through the elimination."""
-        if isinstance(self.field, PrimeField) and aug is None \
-                and self.rows * self.cols <= _DENSE_CELLS and self.cols > 0:
-            return self._rref_rows_dense()
-        rows = [dict() for _ in range(self.rows)]
-        for c, col in self.data.items():
-            for r, v in col.items():
-                rows[r][c] = v
-        if aug is not None:
-            for r, v in aug.items():
-                if not self.field.is_zero(v):
-                    rows[r][self.cols] = v
-        if isinstance(self.field, RationalField):
-            return _rref_sparse_rational(rows, self.cols)
-        return _rref_sparse_prime(rows, self.cols, self.field.p)
-
-    def _rref_rows_dense(self):
-        p = self.field.p
-        a = np.zeros((self.rows, self.cols), dtype=np.int64)
-        for c, col in self.data.items():
-            for r, v in col.items():
-                a[r, c] = v % p
-        pivots = []
-        pr = 0
-        for c in range(self.cols):
-            if pr >= self.rows:
-                break
-            nz = np.nonzero(a[pr:, c])[0]
-            if nz.size == 0:
-                continue
-            i = pr + int(nz[0])
-            if i != pr:
-                a[[pr, i]] = a[[i, pr]]
-            a[pr] = (a[pr] * pow(int(a[pr, c]), p - 2, p)) % p
-            hit = np.nonzero(a[:, c])[0]
-            for r in hit:
-                if r != pr:
-                    a[r] = (a[r] - a[r, c] * a[pr]) % p
-            pivots.append(c)
-            pr += 1
-        rows = [dict() for _ in range(self.rows)]
-        for r, c in zip(*np.nonzero(a)):
-            rows[r][int(c)] = int(a[r, c])
-        return rows, pivots
+        return self._eliminated().rank
 
     # ------------------------------------------------------------------ derived objects
 
     def kernel_basis(self) -> list:
         """Null-space basis in canonical free-variable order (one basis vector
         per non-pivot column, with a 1 there and pivot rows filled in)."""
-        reduced, pivots = self._rref_rows()
+        e = self._eliminated()
         field = self.field
-        pivset = set(pivots)
+        pivset = set(e.pivots)
         basis = []
         for f in range(self.cols):
             if f in pivset:
                 continue
             v = [field.zero] * self.cols
             v[f] = field.one
-            for k, c in enumerate(pivots):
-                coeff = reduced[k].get(f)
+            for k, c in enumerate(e.pivots):
+                coeff = e.reduced[k].get(f)
                 if coeff is not None:
                     v[c] = field.neg(coeff)
             basis.append(v)
         return basis
 
     def image_membership(self, columns) -> list:
-        """Column-space membership for many vectors with one elimination of
-        [M | c_1 ... c_k] (pivots restricted to M's columns): c_j lies in
-        im(M) exactly when no reduced row beyond rank(M) touches column j."""
-        k = len(columns)
-        rows = [dict() for _ in range(self.rows)]
-        for c, col in self.data.items():
-            for r, v in col.items():
-                rows[r][c] = v
-        for j, colv in enumerate(columns):
-            items = colv.items() if isinstance(colv, dict) else enumerate(colv)
-            for r, v in items:
-                if not self.field.is_zero(v):
-                    rows[r][self.cols + j] = v
-        if isinstance(self.field, RationalField):
-            reduced, pivots = _rref_sparse_rational(rows, self.cols)
-        else:
-            reduced, pivots = _rref_sparse_prime(rows, self.cols, self.field.p)
-        out = [True] * k
-        for i in range(len(pivots), self.rows):
-            for cc in reduced[i]:
-                out[cc - self.cols] = False
-        return out
+        """Column-space membership for many vectors: c_j lies in im(M) exactly
+        when its replayed column is zero beyond rank(M)."""
+        e = self._eliminated()
+        return [all(i < e.rank for i in e.replay(col)) for col in columns]
 
     def solve(self, b):
         """Particular solution of M x = b with free variables zeroed, or a
@@ -241,20 +180,20 @@ class ExactMatrix:
         items = b.items() if isinstance(b, dict) else enumerate(b)
         if not isinstance(b, dict) and len(b) != self.rows:
             raise InputError(f"rhs length {len(b)} != rows {self.rows}")
-        aug = {r: v for r, v in items if not self.field.is_zero(v)}
-        if aug and max(aug) >= self.rows:
+        rhs = {r: v for r, v in items if not self.field.is_zero(v)}
+        if rhs and max(rhs) >= self.rows:
             raise InputError("rhs index outside matrix")
-        reduced, pivots = self._rref_rows(aug=aug)
-        field = self.field
-        for i in range(len(pivots), self.rows):
-            row = reduced[i]
-            if row:
-                # only the augmented column can survive past the pivot rows
-                return SolveCertificate(row_index=i, row=dict(row),
-                                        rank=len(pivots), rank_augmented=len(pivots) + 1)
-        x = [field.zero] * self.cols
-        for k, c in enumerate(pivots):
-            x[c] = reduced[k].get(self.cols, field.zero)
+        e = self._eliminated()
+        y = e.replay(rhs)
+        beyond = [i for i in y if i >= e.rank]
+        if beyond:
+            # only the right-hand side can survive past the pivot rows
+            i = min(beyond)
+            return SolveCertificate(row_index=i, row={self.cols: y[i]},
+                                    rank=e.rank, rank_augmented=e.rank + 1)
+        x = [self.field.zero] * self.cols
+        for k, v in y.items():
+            x[e.pivots[k]] = v
         return x
 
     def __repr__(self):
@@ -274,97 +213,155 @@ class SolveCertificate:
         return False
 
 
-def _primitive(row: dict) -> dict:
-    """Rescale a rational row to coprime integers with positive leading entry."""
-    if not row:
-        return row
-    denom_lcm = 1
-    for v in row.values():
-        d = v.denominator
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    content = 0
-    for v in row.values():
-        content = gcd(content, abs(v.numerator * (denom_lcm // v.denominator)))
-    lead = row[min(row)]
-    scale = Fraction(denom_lcm, content)
-    if lead < 0:
-        scale = -scale
-    return {c: Fraction(int(v * scale)) for c, v in row.items()}
+@dataclass
+class Elimination:
+    """The nonzero rows of a matrix's RREF and the row operations behind it.
+
+    Rows keep fixed slots (their input indices); where[s] is slot s's final
+    position, so the swaps are one permutation.  A step (s, m, targets,
+    factors, divisors) is, over F_p: pivot row s times m, then each target
+    minus f * row s; over Q: each target becomes (m * target - f * row s) / g
+    with m the pivot entry.  Over Q, prescale made the input rows primitive
+    and pivot_values are the final pivots.
+    """
+    field: object
+    reduced: list
+    pivots: list
+    where: list
+    steps: list
+    prescale: dict
+    pivot_values: list
+    rank: int
+
+    def replay(self, vector) -> dict:
+        """The right-hand-side column that eliminating [M | vector] would
+        leave, as {reduced-row position: nonzero value}."""
+        field, where = self.field, self.where
+        items = vector.items() if isinstance(vector, dict) else enumerate(vector)
+        if isinstance(field, PrimeField):
+            p = field.p
+            y = {r: v % p for r, v in items if v % p}
+            for s, inv, targets, factors, _ in self.steps:
+                x = y.get(s)
+                if x is None:
+                    continue
+                if inv != 1:
+                    x = y[s] = x * inv % p
+                for t, f in zip(targets, factors):
+                    w = (y.get(t, 0) - f * x) % p
+                    if w:
+                        y[t] = w
+                    else:
+                        del y[t]
+            return {where[s]: v for s, v in y.items()}
+        y = {r: Fraction(v) * self.prescale.get(r, 1) for r, v in items if v}
+        for s, a, targets, factors, divisors in self.steps:
+            x = y.get(s, 0)
+            for t, f, g in zip(targets, factors, divisors):
+                yt = y.get(t, 0)
+                if x or yt:
+                    w = (a * yt - f * x) / g
+                    if w:
+                        y[t] = w
+                    else:
+                        del y[t]
+        # pivot rows are normalized last; the rest stay primitive, and a
+        # primitive row with one nonzero entry holds 1
+        out = {}
+        for s, v in y.items():
+            k = where[s]
+            out[k] = v / self.pivot_values[k] if k < self.rank else field.one
+        return out
 
 
-def _rref_sparse_rational(rows: list, ncols: int):
-    rows = [_primitive(r) for r in rows]
-    pivots = []
-    pr = 0
-    for c in range(ncols):
-        pivot_idx = None
-        for i in range(pr, len(rows)):
-            if c in rows[i]:
-                pivot_idx = i
-                break
-        if pivot_idx is None:
+def _content(row: dict):
+    """Divide a nonempty integer row by its content, signed so that the
+    leading entry is positive; returns (row, divisor)."""
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    if g != 1:
+        row = {c: v // g for c, v in row.items()}
+    return row, g
+
+
+def _eliminate(m: ExactMatrix) -> Elimination:
+    """The single elimination pass (Gauss-Jordan, first-row pivoting)."""
+    field = m.field
+    p = field.p if isinstance(field, PrimeField) else None
+    rows = [dict() for _ in range(m.rows)]
+    for c, col in m.data.items():
+        for r, v in col.items():
+            rows[r][c] = v % p if p else v
+    prescale = {}
+    if p is None:
+        for r, row in enumerate(rows):
+            if row:
+                den = lcm(*(v.denominator for v in row.values()))
+                rows[r], g = _content({c: v.numerator * (den // v.denominator)
+                                       for c, v in row.items()})
+                if den != g:
+                    prescale[r] = Fraction(den, g)
+    holders = {c: set(col) for c, col in m.data.items()}
+    order = list(range(m.rows))
+    where = list(range(m.rows))
+    pivots, steps = [], []
+    for c in range(m.cols):
+        pr = len(pivots)
+        if pr == m.rows:
+            break
+        q = min((where[s] for s in holders.get(c, ()) if where[s] >= pr), default=None)
+        if q is None:
             continue
-        rows[pr], rows[pivot_idx] = rows[pivot_idx], rows[pr]
-        prow = rows[pr]
-        pv = prow[c]
-        for i in range(len(rows)):
-            if i == pr:
-                continue
-            row = rows[i]
-            f = row.get(c)
-            if f is None:
-                continue
-            # integer combination pv*row - f*prow, rescaled to primitive form
-            new = {}
-            for cc, v in row.items():
-                new[cc] = pv * v
+        s, other = order[q], order[pr]
+        order[pr], order[q], where[s], where[other] = s, other, pr, q
+        prow = rows[s]
+        a = prow[c]
+        if p:
+            mult = pow(a, p - 2, p)
+            if mult != 1:
+                prow = rows[s] = {cc: v * mult % p for cc, v in prow.items()}
+            a = 1
+        else:
+            mult = a
+        targets = [t for t in holders[c] if t != s]
+        factors, divisors = [], []
+        for t in targets:
+            row = rows[t]
+            f = row[c]
+            if a != 1:
+                row = {cc: a * v for cc, v in row.items()}
             for cc, v in prow.items():
-                w = new.get(cc, Fraction(0)) - f * v
-                if w:
-                    new[cc] = w
-                else:
-                    new.pop(cc, None)
-            rows[i] = _primitive(new)
-        pivots.append(c)
-        pr += 1
-    for k, c in enumerate(pivots):
-        pv = rows[k][c]
-        if pv != 1:
-            rows[k] = {cc: v / pv for cc, v in rows[k].items()}
-    return rows, pivots
-
-
-def _rref_sparse_prime(rows: list, ncols: int, p: int):
-    pivots = []
-    pr = 0
-    for c in range(ncols):
-        pivot_idx = None
-        for i in range(pr, len(rows)):
-            if c in rows[i]:
-                pivot_idx = i
-                break
-        if pivot_idx is None:
-            continue
-        rows[pr], rows[pivot_idx] = rows[pivot_idx], rows[pr]
-        inv = pow(rows[pr][c], p - 2, p)
-        rows[pr] = {cc: (v * inv) % p for cc, v in rows[pr].items() if v % p}
-        prow = rows[pr]
-        for i in range(len(rows)):
-            if i == pr:
-                continue
-            f = rows[i].get(c)
-            if f is None:
-                continue
-            row = rows[i]
-            for cc, v in prow.items():
-                w = (row.get(cc, 0) - f * v) % p
+                old = row.get(cc)
+                if old is None:
+                    row[cc] = -f * v % p if p else -f * v
+                    holders[cc].add(t)
+                    continue
+                w = old - f * v
+                if p:
+                    w %= p
                 if w:
                     row[cc] = w
                 else:
-                    row.pop(cc, None)
+                    del row[cc]
+                    holders[cc].discard(t)
+            if p is None:
+                row, g = _content(row) if row else (row, 1)
+                divisors.append(g)
+            rows[t] = row
+            factors.append(f)
+        if targets or (p and mult != 1):  # otherwise the step moves no right-hand side
+            steps.append((s, mult, targets, factors, divisors))
         pivots.append(c)
-        pr += 1
-    return rows, pivots
+    pivot_values = []
+    if p is None:
+        for k, c in enumerate(pivots):
+            s = order[k]
+            a = rows[s][c]
+            pivot_values.append(a)
+            rows[s] = {cc: Fraction(v, a) for cc, v in rows[s].items()}
+    return Elimination(field, [rows[s] for s in order[:len(pivots)]], pivots, where,
+                       steps, prescale, pivot_values, len(pivots))
 
 
 def in_span(basis, v, field):
@@ -401,19 +398,13 @@ def invert_matrix(m: ExactMatrix) -> ExactMatrix:
     """Exact inverse of a square matrix; InputError when singular."""
     if m.rows != m.cols:
         raise InputError("invert_matrix needs a square matrix")
-    n = m.rows
-    field = m.field
-    aug = ExactMatrix(field, n, 2 * n)
-    for r, c, v in m.entries():
-        aug.data.setdefault(c, {})[r] = v
-    for i in range(n):
-        aug.data.setdefault(n + i, {})[i] = field.one
-    reduced, pivots = aug._rref_rows()
-    if len(pivots) < n or pivots[:n] != list(range(n)):
+    e = m._eliminated()
+    if e.rank < m.rows:
         raise InputError("matrix is singular")
-    out = ExactMatrix(field, n, n)
-    for i in range(n):
-        for c, v in reduced[i].items():
-            if c >= n:
-                out.data.setdefault(c - n, {})[i] = v
+    out = ExactMatrix(m.field, m.rows, m.cols)
+    for j in range(m.cols):
+        # the pivots are 0..n-1, so the solution of M x = e_j is the replay itself
+        col = e.replay({j: m.field.one})
+        if col:
+            out.data[j] = col
     return out

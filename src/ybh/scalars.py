@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, UnsupportedRingError
+from .errors import InputError
 
 _PRIME_LIMIT = 1 << 31
 
@@ -364,8 +364,3 @@ def hbar_coefficient(a: TruncatedScalar, j: int):
 def base_of(ring):
     """The underlying field of a (possibly truncated) ring."""
     return ring.base if isinstance(ring, TruncatedRing) else ring
-
-
-def require_field(ring, what: str):
-    if isinstance(ring, TruncatedRing):
-        raise UnsupportedRingError(f"{what} is not defined over a truncated ring (zero divisors)")

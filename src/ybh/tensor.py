@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ArityError, InputError
-from .scalars import PrimeField, TruncatedRing, TruncatedScalar, base_of
+from .scalars import PrimeField, TruncatedRing, base_of
 
 # Above this many grid cells, prime-field maps stay sparse.
 _DENSE_CELLS = 1 << 22
@@ -438,14 +438,6 @@ class TensorMap:
     def __hash__(self):
         raise TypeError("TensorMap is not hashable")
 
-    def first_difference(self, other: "TensorMap"):
-        """Lexicographically first (col, row) where the grids differ, or None."""
-        diff = (self - other)._as_sparse()
-        if not diff._data:
-            return None
-        c = min(diff._data)
-        return (c, min(diff._data[c]))
-
     # ------------------------------------------------------------------ access
 
     def entry(self, row: int, col: int):
@@ -454,13 +446,6 @@ class TensorMap:
                 return tuple(int(a[row, col]) for a in self._data)
             return int(self._data[row, col])
         return self._data.get(col, {}).get(row, self.field.zero)
-
-    def entry_scalar(self, row: int, col: int):
-        """entry() with truncated values wrapped as TruncatedScalar."""
-        v = self.entry(row, col)
-        if isinstance(self.field, TruncatedRing):
-            return TruncatedScalar(self.field, v)
-        return v
 
     def entries(self):
         """Iterate (row, col, scalar) over nonzero entries, column-major sorted."""
@@ -486,12 +471,6 @@ class TensorMap:
         for pos, v in self.flatten_sparse().items():
             out[pos] = v
         return out
-
-    def map_entries(self, target_field, fn) -> "TensorMap":
-        """Rebuild over target_field applying fn to every scalar (e.g. reduction mod p)."""
-        return TensorMap.from_entries(
-            target_field, self.dim, self.in_arity, self.out_arity,
-            ((r, c, fn(v)) for r, c, v in self.entries()))
 
     def __repr__(self):
         return (f"TensorMap({self.field!r}, d={self.dim}, "

@@ -1,5 +1,6 @@
 import pytest
 
+from ybh import linalg
 from ybh.cohomology import (YBH2Cochain, cochain2_sizes, cocycle_basis, delta1,
                             delta2, delta3, differential_matrix, flatten2,
                             flatten3)
@@ -188,6 +189,23 @@ def test_extension_outcomes_are_consistent(name, field):
             assert verify_deformation(series).ok
         else:
             assert isinstance(out.certificate, SolveCertificate)
+
+
+def test_extend_session_eliminates_d2_once(monkeypatch):
+    eliminated = []
+    eliminate = linalg._eliminate
+
+    def counting(m):
+        eliminated.append(m)
+        return eliminate(m)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    b = build_fixture("mat2_trivial", GF(101))
+    cocycles = cocycle_basis(b)
+    outcomes = [extend_to_quadratic(b, c) for c in cocycles]
+    assert len(cocycles) == 22 and sum(not out.success for out in outcomes) == 6
+    d2 = differential_matrix(b, 2)
+    assert sum(m is d2 for m in eliminated) == 1
 
 
 def test_extend_rejects_non_cocycle():

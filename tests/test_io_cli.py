@@ -146,6 +146,20 @@ def test_cli_deform_verify_and_extend(tmp_path, capsys):
     assert code == (0 if report["ok"] else 1)
 
 
+def test_cli_deform_certificate_pinned(tmp_path, capsys):
+    b = build_fixture("z2_adjoint", GF(2))
+    cocycles = cocycle_basis(b)
+    for index, row_index in ((1, 79), (2, 39)):
+        cdoc = {"algebra": algebra_to_json(b)}
+        cdoc.update(cochain2_to_json(cocycles[index]))
+        cfile = tmp_path / f"cocycle{index}.json"
+        cfile.write_text(canonical_json(cdoc))
+        assert main(["deform", "--extend", str(cfile)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["certificate"] == {"rank": 16, "rank_augmented": 17,
+                                         "row_index": row_index}
+
+
 def test_cli_construct_fixture_and_input(tmp_path, capsys):
     out = tmp_path / "alg.json"
     assert main(["construct", "--fixture", "heap_z2", "--field", "prime",

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from elimination_oracle import rref_modp
+from ybh.cohomology import differential_matrix
 from ybh.errors import InputError, UnsupportedRingError
-from ybh.linalg import (ExactMatrix, SolveCertificate, _rref_sparse_prime,
-                        in_span, invert_matrix)
+from ybh.fixtures import build_fixture
+from ybh.linalg import ExactMatrix, SolveCertificate, in_span, invert_matrix
 from ybh.rng import SplitMix64
 from ybh.scalars import GF, QQ, TruncatedRing
 
@@ -131,7 +133,15 @@ def test_invert_matrix():
         invert_matrix(_mat(QQ, [[1, 2], [2, 4]]))
 
 
-def test_dense_and_sparse_prime_elimination_agree():
+def _reduced_rows(m):
+    red, pivots, _ = m.rref()
+    rows = [dict() for _ in range(m.rows)]
+    for r, c, v in red.entries():
+        rows[r][c] = v
+    return rows, pivots
+
+
+def test_elimination_matches_dense_oracle():
     rng = SplitMix64(34)
     field = GF(11)
     for _ in range(20):
@@ -140,11 +150,12 @@ def test_dense_and_sparse_prime_elimination_agree():
             field, rows, cols,
             ((i, j, field.random(rng)) for i in range(rows) for j in range(cols)
              if rng.randrange(2) == 0))
-        dense_rows, dense_pivots = m._rref_rows_dense()
-        sparse_input = [dict() for _ in range(rows)]
-        for c, col in m.data.items():
-            for r, v in col.items():
-                sparse_input[r][c] = v
-        sparse_rows, sparse_pivots = _rref_sparse_prime(sparse_input, cols, 11)
-        assert dense_pivots == sparse_pivots
-        assert dense_rows == sparse_rows
+        assert _reduced_rows(m) == rref_modp(m, 11)
+
+
+@pytest.mark.parametrize("name, rank", [("heap_z2", 304), ("mat2_trivial", 298)])
+def test_d2_elimination_matches_dense_oracle(name, rank):
+    d2 = differential_matrix(build_fixture(name, GF(101)), 2)
+    reduced, pivots = _reduced_rows(d2)
+    assert (reduced, pivots) == rref_modp(d2, 101)
+    assert d2.rank() == len(pivots) == rank
