@@ -48,7 +48,12 @@ def _max_dim(args) -> int | None:
     if getattr(args, "max_dim", None) is not None:
         return args.max_dim
     env = os.environ.get("YBH_MAX_DIM")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise InputError(f"YBH_MAX_DIM must be an integer, got {env!r}")
 
 
 def _emit(report: dict, args) -> None:

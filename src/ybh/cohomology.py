@@ -464,9 +464,9 @@ def basis_cochain2(field, d: int, index: int) -> YBH2Cochain:
 
 
 def differential_matrix(b: BraidedAlgebra, degree: int) -> ExactMatrix:
-    """Matrix of delta^1 or delta^2 in the flatten bases (column by column
-    on basis cochains).  Cached on the algebra object (write-once; the
-    structure maps are immutable)."""
+    """Matrix of delta^1, delta^2 or delta^3 (private targets) in the
+    flatten bases (column by column on basis cochains).  Cached on the
+    algebra object (write-once; the structure maps are immutable)."""
     cache = getattr(b, "_matrix_cache", None)
     if cache is None:
         cache = {}
@@ -529,7 +529,11 @@ def _differential_matrix_uncached(b: BraidedAlgebra, degree: int) -> ExactMatrix
             c = basis_cochain2(field, d, idx)
             columns.append(flatten3(_delta2_fast(b, c, ops)))
         return ExactMatrix.from_columns(field, rows, columns)
-    raise InputError("differential_matrix supports degrees 1 and 2")
+    if degree == 3:
+        columns = [flatten4(delta3(b, unflatten3({idx: field.one}, field, d)))
+                   for idx in range(sum(cochain3_sizes(d)))]
+        return ExactMatrix.from_columns(field, cochain4_size(d), columns)
+    raise InputError("differential_matrix supports degrees 1, 2 and 3")
 
 
 def _guard(d: int, max_dim: int | None, default: int, what: str):
@@ -574,41 +578,30 @@ def cohomology_dimension(b: BraidedAlgebra, degree: int = 2,
     return dim_z2 - d1.rank()
 
 
+def shared_target_matrix(d3: ExactMatrix, d: int) -> ExactMatrix:
+    """D3 with the (4,2) row blocks merged in YI/IY pairs: prod_yi rows add
+    into assoc_yi, prod_iy rows into assoc_iy, and pentagon moves up."""
+    first_prod, shift = d ** 8 + 2 * d ** 7 + 2 * d ** 6, 2 * d ** 6
+    return ExactMatrix.from_entries(
+        d3.field, d3.rows - shift, d3.cols,
+        ((r if r < first_prod else r - shift, c, v) for r, c, v in d3.entries()))
+
+
 def h3_dimension(b: BraidedAlgebra, max_dim: int | None = None,
                  shared_targets: bool = False) -> int:
-    """dim ker(delta^3) - rank(delta^2).
+    """dim ker(delta^3) - rank(delta^2), from the cached private-target D3.
 
     With shared_targets=True the four Hom(V^4, V^2) summands are merged in
-    YI/IY pairs (assoc_yi + prod_yi and assoc_iy + prod_iy share a target),
-    the smaller complex one gets by not keeping loop-private targets; the
-    kernel can only grow.  Both variants are exposed because either reading
-    of the degree-4 group is coherent.
+    YI/IY pairs (assoc_yi + prod_yi and assoc_iy + prod_iy share a target;
+    see shared_target_matrix), the smaller complex one gets by not keeping
+    loop-private targets; the kernel can only grow.  Both variants are
+    exposed because either reading of the degree-4 group is coherent.
     """
-    field, d = b.field, b.dim
-    _guard(d, max_dim, MAX_DIM_DEGREE3, "degree-3 cohomology")
-    cols = sum(cochain3_sizes(d))
-    columns = []
-    for idx in range(cols):
-        c3 = unflatten3({idx: field.one}, field, d)
-        out = delta3(b, c3)
-        if shared_targets:
-            comps = dict(out.components)
-            comps["assoc_yi"] = comps["assoc_yi"] + comps.pop("prod_yi")
-            comps["assoc_iy"] = comps["assoc_iy"] + comps.pop("prod_iy")
-            vec = {}
-            off = 0
-            for name in ("yb", "slide_yi", "slide_iy", "assoc_yi", "assoc_iy", "pentagon"):
-                t = comps[name]
-                for pos, v in t.flatten_sparse().items():
-                    vec[off + pos] = v
-                off += t.rows * t.cols
-            columns.append(vec)
-        else:
-            columns.append(flatten4(out))
-    rows = max((max(col) + 1 for col in columns if col), default=1)
-    d3 = ExactMatrix.from_columns(field, rows, columns)
-    d2 = differential_matrix(b, 2)
-    return (cols - d3.rank()) - d2.rank()
+    _guard(b.dim, max_dim, MAX_DIM_DEGREE3, "degree-3 cohomology")
+    d3 = differential_matrix(b, 3)
+    if shared_targets:
+        d3 = shared_target_matrix(d3, b.dim)
+    return (d3.cols - d3.rank()) - differential_matrix(b, 2).rank()
 
 
 # ---------------------------------------------------------------- the braided-multiplication map

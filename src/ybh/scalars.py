@@ -59,7 +59,10 @@ class FieldSpec:
     def from_json(obj: dict) -> "FieldSpec":
         if not isinstance(obj, dict) or "kind" not in obj:
             raise InputError(f"bad field spec {obj!r}")
-        return FieldSpec(obj["kind"], obj.get("p"))
+        p = obj.get("p")
+        if p is not None and type(p) is not int:
+            raise InputError(f"field modulus must be an integer, got {p!r}")
+        return FieldSpec(obj["kind"], p)
 
 
 class RationalField:
@@ -101,6 +104,8 @@ class RationalField:
         return Fraction(n)
 
     def parse(self, s: str):
+        if type(s) is not str:
+            raise InputError(f"bad rational {s!r}: scalars are JSON strings")
         return rational_from_string(s)
 
     def unparse(self, a) -> str:
@@ -160,7 +165,7 @@ class PrimeField:
     def parse(self, s: str):
         try:
             return int(s, 10) % self.p
-        except ValueError:
+        except (TypeError, ValueError):
             raise InputError(f"bad residue {s!r} for F_{self.p}")
 
     def unparse(self, a) -> str:

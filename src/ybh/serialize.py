@@ -84,7 +84,7 @@ def _map_from_structured(rows, field, d, in_slots, out_slots, what) -> TensorMap
                              f"{in_slots + out_slots} indices and a scalar")
         idx = row[:-1]
         for i in idx:
-            if not isinstance(i, int) or not 0 <= i < d:
+            if type(i) is not int or not 0 <= i < d:
                 raise InputError(f"{what}: index {i!r} outside 0..{d - 1}")
         col = encode_index(idx[:in_slots], d) if in_slots else 0
         r = encode_index(idx[in_slots:], d) if out_slots else 0
@@ -133,7 +133,7 @@ def algebra_from_json(doc: dict, validate: bool = True):
             raise InputError(f"algebra document missing {key!r}")
     field = field_for(FieldSpec.from_json(doc["field"]))
     d = doc["dim"]
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:
         raise InputError(f"bad dimension {d!r}")
     labels = doc.get("basis") or [f"e{i}" for i in range(d)]
     if len(labels) != d:

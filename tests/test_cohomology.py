@@ -1,20 +1,23 @@
 import pytest
 
+import ybh.cohomology
 from ybh.braided import assoc_defect, iy_defect, yb_defect, yi_defect
+from ybh.cli import main
 from ybh.cohomology import (ComplexSlice, YBH2Cochain, YBH3Cochain,
-                            cochain2_sizes, cochain3_sizes, cocycle_basis,
-                            coboundary_basis, cohomology_dimension, delta1,
-                            delta2, delta3, delta3_components,
-                            differential_matrix, flatten2, flatten3,
-                            h3_dimension, hochschild_differential,
+                            cochain2_sizes, cochain3_sizes, cochain4_size,
+                            cocycle_basis, coboundary_basis,
+                            cohomology_dimension, delta1, delta2, delta3,
+                            delta3_components, differential_matrix, flatten2,
+                            flatten3, h3_dimension, hochschild_differential,
                             iota_r, mixed_differential_d2,
-                            mixed_differential_d2_oracle, unflatten2,
-                            unflatten3, yang_baxter_differential,
-                            yb_differential_d3)
+                            mixed_differential_d2_oracle,
+                            shared_target_matrix, unflatten2, unflatten3,
+                            yang_baxter_differential, yb_differential_d3)
 from ybh.braided import braided_multiplication
 from ybh.errors import InputError, ResourceLimitError
 from ybh.fixtures import build_fixture
-from ybh.linalg import in_span
+from ybh.linalg import ExactMatrix, in_span
+from ybh.serialize import algebra_to_json, canonical_json
 from ybh.rng import SplitMix64
 from ybh.scalars import GF, QQ
 from ybh.tensor import TensorMap, identity_map, random_map
@@ -240,13 +243,72 @@ def test_dual_trivial_has_positive_h2_mod_2():
     assert cohomology_dimension(b, 2) > 0
 
 
-def test_h3_dimension_variants():
-    for name, field in [("z2_adjoint", QQ), ("dual_trivial", GF(2))]:
-        b = build_fixture(name, field)
+H3_PINNED = [("z2_adjoint", QQ, (0, 0)), ("z2_adjoint", GF(2), (26, 26)),
+             ("dual_trivial", QQ, (7, 7)), ("dual_trivial", GF(2), (26, 26))]
+
+
+@pytest.fixture(scope="module")
+def d3_algebras():
+    """The H3_PINNED algebras, shared by the degree-3 tests below so the D3
+    cached on each is assembled once."""
+    return {(name, repr(field)): build_fixture(name, field)
+            for name, field, _ in H3_PINNED}
+
+
+def _shared_targets_oracle(b) -> ExactMatrix:
+    """Shared-target D3 built column by column: apply delta3 to each basis
+    3-cochain, add prod_yi into assoc_yi and prod_iy into assoc_iy as maps,
+    and flatten the six remaining summands."""
+    field, d = b.field, b.dim
+    columns = []
+    for idx in range(sum(cochain3_sizes(d))):
+        comps = dict(delta3(b, unflatten3({idx: field.one}, field, d)).components)
+        comps["assoc_yi"] = comps["assoc_yi"] + comps.pop("prod_yi")
+        comps["assoc_iy"] = comps["assoc_iy"] + comps.pop("prod_iy")
+        vec = {}
+        off = 0
+        for name in ("yb", "slide_yi", "slide_iy", "assoc_yi", "assoc_iy", "pentagon"):
+            t = comps[name]
+            for pos, v in t.flatten_sparse().items():
+                vec[off + pos] = v
+            off += t.rows * t.cols
+        columns.append(vec)
+    return ExactMatrix.from_columns(field, off, columns)
+
+
+def test_h3_dimension_variants(d3_algebras):
+    for name, field, pinned in H3_PINNED:
+        b = d3_algebras[name, repr(field)]
         h3 = h3_dimension(b)
         h3_shared = h3_dimension(b, shared_targets=True)
-        assert h3 >= 0
+        assert (h3, h3_shared) == pinned, (name, field)
         assert h3_shared >= h3  # merging targets can only enlarge the kernel
+
+
+@pytest.mark.parametrize("name,field", [case[:2] for case in H3_PINNED])
+def test_shared_target_merge_matches_per_column_oracle(d3_algebras, name, field):
+    b = d3_algebras[name, repr(field)]
+    d3 = differential_matrix(b, 3)
+    assert (d3.rows, d3.cols) == (cochain4_size(b.dim), sum(cochain3_sizes(b.dim)))
+    merged = shared_target_matrix(d3, b.dim)
+    oracle = _shared_targets_oracle(b)
+    assert (merged.rows, merged.cols) == (oracle.rows, oracle.cols)
+    assert list(merged.entries()) == list(oracle.entries())
+
+
+def test_cohomology_degree3_assembles_d3_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "z2_adjoint.json"
+    path.write_text(canonical_json(algebra_to_json(build_fixture("z2_adjoint", QQ))))
+    calls = []
+
+    def counting_delta3(b, c):
+        calls.append(1)
+        return delta3(b, c)
+
+    monkeypatch.setattr(ybh.cohomology, "delta3", counting_delta3)
+    assert main(["cohomology", str(path), "--degree", "3"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 144  # dim C^3 at d=2: one private D3, merged for shared
 
 
 def test_iota_r_zero_and_coboundary():

@@ -204,3 +204,53 @@ def test_reports_are_byte_identical_for_same_input(tmp_path, capsys):
     assert main(["check", str(path)]) == 0
     b = capsys.readouterr().out
     assert a == b
+
+
+def _assert_input_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert "Traceback" not in err
+
+
+def test_cli_bad_max_dim_environment_exits_2(tmp_path, capsys, monkeypatch):
+    _, path = _write_fixture(tmp_path, "z2_adjoint", QQ)
+    monkeypatch.setenv("YBH_MAX_DIM", "abc")
+    _assert_input_error(capsys, ["cohomology", str(path)])
+
+
+@pytest.mark.parametrize("p", ["3", True, 3.0])
+def test_cli_field_modulus_must_be_an_int(tmp_path, capsys, p):
+    _, path = _write_fixture(tmp_path, "z2_adjoint", GF(3))
+    doc = json.loads(path.read_text())
+    doc["field"]["p"] = p
+    path.write_text(json.dumps(doc))
+    for command in ("check", "cohomology"):
+        _assert_input_error(capsys, [command, str(path)])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+@pytest.mark.parametrize("key", ["mu", "R", "unit"])
+def test_cli_scalar_must_be_a_string(tmp_path, capsys, field, key):
+    _, path = _write_fixture(tmp_path, "z2_adjoint", field)
+    doc = json.loads(path.read_text())
+    doc[key][0][-1] = int(doc[key][0][-1])
+    path.write_text(json.dumps(doc))
+    for command in ("check", "cohomology"):
+        _assert_input_error(capsys, [command, str(path)])
+
+
+@pytest.mark.parametrize("dim,index", [(1, False), (True, 0)])
+def test_cli_dim_and_indices_must_be_ints(tmp_path, capsys, dim, index):
+    # the one-dimensional algebra k with mu = R = 1 is braided; a bool where
+    # an int belongs must not pass as 0 or 1
+    doc = {"schema": "ybh/1", "field": {"kind": "rational"}, "dim": dim,
+           "mu": [[index, 0, 0, "1"]], "R": [[0, 0, 0, 0, "1"]]}
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(doc))
+    for command in ("check", "cohomology"):
+        _assert_input_error(capsys, [command, str(path)])
+    doc["dim"], doc["mu"][0][0] = 1, 0
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 0
+    capsys.readouterr()
