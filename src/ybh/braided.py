@@ -109,8 +109,8 @@ class AssociativeAlgebra:
             raise InputError("unit must be a (0->1) map of the declared dimension")
         self.field = field
         self.dim = dim
-        self.mu = mu.canonical()
-        self.unit = unit if unit is None else unit.canonical()
+        self.mu = mu
+        self.unit = unit
         self.labels = labels or [f"e{i}" for i in range(dim)]
         self._assoc: CheckResult | None = None
 
@@ -146,7 +146,7 @@ class YangBaxterOperator:
             raise InputError("R must be a (2->2) map of the declared dimension")
         self.field = field
         self.dim = dim
-        self.r = r.canonical()
+        self.r = r
         self._inverse: TensorMap | None = None
         self._yb: CheckResult | None = None
 

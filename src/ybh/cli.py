@@ -18,7 +18,8 @@ from . import fixtures
 from .braided import BraidedAlgebra
 from .cohomology import (ComplexSlice, YBH2Cochain, cochain2_sizes,
                          cochain3_sizes, cocycle_basis, delta1, delta2, delta3,
-                         differential_matrix, ensure_dim_allowed, h3_dimension)
+                         _guard, differential_matrix, ensure_dim_allowed,
+                         h3_dimension)
 from .constructions import MCQ, FiniteGroup, from_heap, from_mcq, trivial_braiding
 from .deformation import (extend_to_quadratic, obstruction_is_cocycle,
                           verify_deformation)
@@ -32,6 +33,10 @@ from .serialize import (algebra_from_json, algebra_to_json, canonical_json,
 from .tensor import random_map
 
 _EXIT_PASS, _EXIT_FAIL, _EXIT_INPUT = 0, 1, 2
+
+# `check` admits every fixture (d <= 9); the adjoint braiding of k[Z/16]
+# checks in 0.7 s and 142 MB over Q, k[Z/32] takes 1.8 GB.
+MAX_DIM_CHECK = 16
 
 
 def _field_from_args(args):
@@ -79,6 +84,9 @@ def _check_entries(obj) -> list:
 
 def cmd_check(args) -> int:
     doc = load_json(args.file)
+    dim = doc.get("dim") if isinstance(doc, dict) else None
+    if type(dim) is int:
+        _guard(dim, _max_dim(args), MAX_DIM_CHECK, "check command")
     obj = algebra_from_json(doc, validate=False)
     entries = _check_entries(obj)
     report = {"schema": "ybh/report/1", "command": "check",
@@ -212,7 +220,9 @@ def cmd_selftest(args) -> int:
     field = field_for(FieldSpec("prime", args.prime))
     rational = field_for(FieldSpec("rational"))
     rng = SplitMix64(args.seed)
-    max_dim = _max_dim(args) or 4
+    max_dim = _max_dim(args)
+    if max_dim is None:
+        max_dim = 4
     checks = []
 
     def record(name, ok, detail=None):

@@ -61,6 +61,9 @@ def tensor_from_json(obj: dict, field) -> TensorMap:
         entries = [(r, c, field.parse(s)) for r, c, s in obj["entries"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad tensor map document: {exc}")
+    for i in (d, n, k, *(i for e in entries for i in e[:2])):
+        if type(i) is not int:
+            raise InputError(f"bad tensor map document: {i!r} is not an integer")
     return TensorMap.from_entries(field, d, n, k, entries)
 
 
@@ -77,9 +80,11 @@ def _structured_entries(t: TensorMap, in_slots: int, out_slots: int) -> list:
 
 
 def _map_from_structured(rows, field, d, in_slots, out_slots, what) -> TensorMap:
+    if not isinstance(rows, list):
+        raise InputError(f"{what} must be a list of entries")
     entries = []
     for row in rows:
-        if len(row) != in_slots + out_slots + 1:
+        if not isinstance(row, list) or len(row) != in_slots + out_slots + 1:
             raise InputError(f"{what}: entry {row!r} needs "
                              f"{in_slots + out_slots} indices and a scalar")
         idx = row[:-1]
@@ -136,8 +141,8 @@ def algebra_from_json(doc: dict, validate: bool = True):
     if type(d) is not int or d < 1:
         raise InputError(f"bad dimension {d!r}")
     labels = doc.get("basis") or [f"e{i}" for i in range(d)]
-    if len(labels) != d:
-        raise InputError("basis label count differs from dimension")
+    if not isinstance(labels, list) or len(labels) != d:
+        raise InputError("basis must be a list with one label per dimension")
     if "mu" not in doc:
         raise InputError("algebra document missing 'mu'")
     mu = _map_from_structured(doc["mu"], field, d, 2, 1, "mu")

@@ -6,15 +6,17 @@ index = sum_t i_t * d^(n-1-t) with i_0 the leftmost tensor factor, and the
 grid is linearized row-major (position = row * d^n + col) by flatten().
 Both conventions are fixed once here and shared by the file formats.
 
-Two storage layouts coexist behind one interface:
+Two storage layouts sit behind one interface: sparse {col: {row: scalar}},
+exact over any ring, and dense numpy int64 residue matrices (one per
+hbar-degree over a truncated ring).  One rule decides between them, "dense
+in, dense out":
 
-* sparse: {col: {row: scalar}}, the default, exact over any ring;
-* dense:  numpy int64 residue matrices, used over prime fields when the
-  grid is small enough, because the randomized suites multiply thousands
-  of dense mod-p matrices.
-
-Truncated-ring maps store tuples per entry (sparse) or one residue matrix
-per hbar-degree (dense).
+* dense storage is created only by random_map over a plain prime field and
+  by truncated_from_parts over a prime base;
+* compose, tensor and + run on numpy exactly when the ring is prime-based,
+  at least one operand is already dense, and every grid involved (both
+  operands and the result) has at most _DENSE_CELLS cells; the sparse
+  operand is then converted.  Every other case runs sparse.
 """
 
 from __future__ import annotations
@@ -101,16 +103,6 @@ class TensorMap:
         return m
 
     @classmethod
-    def from_function(cls, field, dim, in_arity, out_arity, fn):
-        """fn(col) -> {row: scalar}; evaluated on every input basis index."""
-        data = {}
-        for c in range(dim ** in_arity):
-            col = {r: v for r, v in fn(c).items() if not field.is_zero(v)}
-            if col:
-                data[c] = col
-        return cls(field, dim, in_arity, out_arity, "sparse", data)
-
-    @classmethod
     def identity(cls, field, dim, arity):
         one = field.one
         data = {c: {c: one} for c in range(dim ** arity)}
@@ -128,10 +120,6 @@ class TensorMap:
             r = encode_index([digits[slot_source[j]] for j in range(arity)], dim)
             data[c] = {r: one}
         return cls(field, dim, arity, arity, "sparse", data)
-
-    @classmethod
-    def _dense(cls, field, dim, in_arity, out_arity, arr):
-        return cls(field, dim, in_arity, out_arity, "dense", arr)
 
     def with_shape(self, dim, in_arity, out_arity):
         """Reinterpret the same grid under a different (dim, arity) split.
@@ -176,26 +164,26 @@ class TensorMap:
         return TensorMap(self.field, self.dim, self.in_arity, self.out_arity,
                          "sparse", self.to_sparse_data())
 
-    def _dense_ok(self) -> bool:
-        return _is_prime_based(self.field) and self.rows * self.cols <= _DENSE_CELLS
-
     def _as_dense(self) -> "TensorMap":
         if self._rep == "dense":
             return self
         p = self._prime()
-        if isinstance(self.field, TruncatedRing):
-            arrs = [np.zeros((self.rows, self.cols), dtype=np.int64)
-                    for _ in range(self.field.order)]
-            for c, col in self._data.items():
-                for r, tup in col.items():
-                    for t, v in enumerate(tup):
-                        arrs[t][r, c] = v % p
-            return TensorMap(self.field, self.dim, self.in_arity, self.out_arity, "dense", arrs)
-        arr = np.zeros((self.rows, self.cols), dtype=np.int64)
+        trunc = isinstance(self.field, TruncatedRing)
+        arrs = [np.zeros((self.rows, self.cols), dtype=np.int64)
+                for _ in range(self.field.order if trunc else 1)]
         for c, col in self._data.items():
             for r, v in col.items():
-                arr[r, c] = v % p
-        return TensorMap(self.field, self.dim, self.in_arity, self.out_arity, "dense", arr)
+                for t, x in enumerate(v if trunc else (v,)):
+                    arrs[t][r, c] = x % p
+        return TensorMap(self.field, self.dim, self.in_arity, self.out_arity,
+                         "dense", arrs if trunc else arrs[0])
+
+    def _dense_with(self, other: "TensorMap", out_cells: int) -> bool:
+        """The storage rule: numpy exactly when the ring is prime-based, an
+        operand is already dense and no grid exceeds _DENSE_CELLS."""
+        return (_is_prime_based(self.field) and "dense" in (self._rep, other._rep)
+                and max(self.rows * self.cols, other.rows * other.cols,
+                        out_cells) <= _DENSE_CELLS)
 
     # ------------------------------------------------------------------ compatibility
 
@@ -207,34 +195,6 @@ class TensorMap:
 
     # ------------------------------------------------------------------ composition
 
-    def _densish(self) -> bool:
-        if self._rep == "dense":
-            return True
-        return 8 * self.nnz() >= self.rows * self.cols
-
-    def canonical(self) -> "TensorMap":
-        """Match the storage layout to the actual density, so a
-        permutation-like map assembled through dense intermediates does not
-        drag every later composite onto the dense path."""
-        if self._rep == "dense":
-            sparse = self._as_sparse()
-            return self if sparse._densish() else sparse
-        if _is_prime_based(self.field) and self._densish() \
-                and self.rows * self.cols <= _DENSE_CELLS:
-            return self._as_dense()
-        return self
-
-    def _prefer_dense_with(self, other: "TensorMap", out_cells: int) -> bool:
-        """Dense numpy arithmetic pays off over prime fields when a dense
-        payload is already involved; genuinely sparse operands (structure
-        maps, basis cochains) stay sparse."""
-        if not _is_prime_based(self.field):
-            return False
-        cells = max(self.rows * self.cols, other.rows * other.cols, out_cells)
-        if cells > _DENSE_CELLS:
-            return False
-        return self._rep == "dense" or other._rep == "dense"
-
     def compose(self, other: "TensorMap") -> "TensorMap":
         """self after other; arities (other.in -> self.out)."""
         self._require_same_ring(other, "compose")
@@ -242,52 +202,9 @@ class TensorMap:
             raise ArityError(self.in_arity, other.out_arity,
                              f"composing ({other.in_arity}->{other.out_arity}) "
                              f"into ({self.in_arity}->{self.out_arity})")
-        f, g = self, other
-        if _is_prime_based(f.field) and not isinstance(f.field, TruncatedRing) \
-                and f.rows * g.cols <= _DENSE_CELLS:
-            fd, gd = f._rep == "dense", g._rep == "dense"
-            if fd and gd:
-                return f._compose_dense(g)
-            if fd:
-                return f._compose_dense_sparse(g)
-            if gd:
-                return f._compose_sparse_dense(g)
-            if f.cols >= 32 and f._densish() and g._densish():
-                return f._compose_dense(g)
-        elif f._prefer_dense_with(g, f.rows * g.cols):
-            return f._compose_dense(g)
-        f, g = f._as_sparse(), g._as_sparse()
-        return f._compose_sparse(g)
-
-    def _compose_dense_sparse(self, other: "TensorMap") -> "TensorMap":
-        """Dense self composed with sparse other: one vectorized column
-        combination per nonzero of other, no full matmul."""
-        p = self._prime()
-        a = self._data
-        out = np.zeros((self.rows, other.cols), dtype=np.int64)
-        safe = self.cols * (p - 1) * (p - 1) < (1 << 62)
-        for j, col in other._data.items():
-            acc = out[:, j]
-            for k, v in col.items():
-                acc += v * a[:, k]
-                if not safe:
-                    acc %= p
-        return TensorMap(self.field, self.dim, other.in_arity, self.out_arity,
-                         "dense", out % p)
-
-    def _compose_sparse_dense(self, other: "TensorMap") -> "TensorMap":
-        p = self._prime()
-        b = other._data
-        out = np.zeros((self.rows, other.cols), dtype=np.int64)
-        safe = self.cols * (p - 1) * (p - 1) < (1 << 62)
-        for k, col in self._data.items():
-            row_k = b[k, :]
-            for i, v in col.items():
-                out[i, :] += v * row_k
-                if not safe:
-                    out[i, :] %= p
-        return TensorMap(self.field, self.dim, other.in_arity, self.out_arity,
-                         "dense", out % p)
+        if self._dense_with(other, self.rows * other.cols):
+            return self._compose_dense(other)
+        return self._as_sparse()._compose_sparse(other._as_sparse())
 
     def _compose_dense(self, other: "TensorMap") -> "TensorMap":
         p = self._prime()
@@ -329,7 +246,7 @@ class TensorMap:
         n = self.in_arity + other.in_arity
         k = self.out_arity + other.out_arity
         cells = self.rows * other.rows * self.cols * other.cols
-        if self._prefer_dense_with(other, cells):
+        if self._dense_with(other, cells):
             p = self._prime()
             a, b = self._as_dense()._data, other._as_dense()._data
             if isinstance(self.field, TruncatedRing):
@@ -367,15 +284,14 @@ class TensorMap:
 
     def __add__(self, other: "TensorMap") -> "TensorMap":
         self._require_same_shape(other, "add")
-        if self._rep == "dense" or other._rep == "dense":
-            if self._dense_ok():
-                p = self._prime()
-                a, b = self._as_dense()._data, other._as_dense()._data
-                if isinstance(self.field, TruncatedRing):
-                    out = [(x + y) % p for x, y in zip(a, b)]
-                else:
-                    out = (a + b) % p
-                return TensorMap(self.field, self.dim, self.in_arity, self.out_arity, "dense", out)
+        if self._dense_with(other, self.rows * self.cols):
+            p = self._prime()
+            a, b = self._as_dense()._data, other._as_dense()._data
+            if isinstance(self.field, TruncatedRing):
+                out = [(x + y) % p for x, y in zip(a, b)]
+            else:
+                out = (a + b) % p
+            return TensorMap(self.field, self.dim, self.in_arity, self.out_arity, "dense", out)
         a, b = self._as_sparse(), other._as_sparse()
         field = self.field
         data = {c: dict(col) for c, col in a._data.items()}
@@ -599,12 +515,6 @@ def truncated_part(t: TensorMap, j: int) -> TensorMap:
     return TensorMap.from_entries(base, t.dim, t.in_arity, t.out_arity, entries)
 
 
-def to_truncated(t: TensorMap, ring: TruncatedRing, degree: int = 0) -> TensorMap:
-    """Embed a base-field map as hbar^degree * t over the truncated ring."""
-    parts = [None] * degree + [t]
-    return truncated_from_parts(ring, parts)
-
-
 def random_map(field, d: int, n: int, k: int, rng, span: int = 9) -> TensorMap:
     """Dense random map; dense numpy over prime fields, sparse otherwise."""
     rows, cols = d ** k, d ** n
@@ -614,7 +524,7 @@ def random_map(field, d: int, n: int, k: int, rng, span: int = 9) -> TensorMap:
         for r in range(rows):
             for c in range(cols):
                 arr[r, c] = field.random(rng)
-        return TensorMap._dense(field, d, n, k, arr)
+        return TensorMap(field, d, n, k, "dense", arr)
     entries = []
     for r in range(rows):
         for c in range(cols):

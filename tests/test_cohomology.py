@@ -1,3 +1,6 @@
+import runpy
+from pathlib import Path
+
 import pytest
 
 import ybh.cohomology
@@ -144,6 +147,16 @@ def test_syzygy_identity_pins_degree3():
             out = delta3_components(mu, r, defects)
             for name, value in out.items():
                 assert value.is_zero(), name
+
+
+def test_pin_degree3_tool_rederives_the_frozen_tables(capsys):
+    # the tool searches the braid-word graph for the YB loop and substitutes
+    # the axiom defects of random dense (mu, R) over GF(101) and Q
+    tool = Path(__file__).resolve().parents[1] / "tools" / "pin_degree3.py"
+    runpy.run_path(str(tool), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "frozen-table check (ybh.cohomology.YB4_LOOP_TERMS): MATCHES" in out
+    assert "all syzygies vanish identically: OK" in out
 
 
 @pytest.mark.parametrize("name", D3_FIXTURES)

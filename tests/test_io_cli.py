@@ -254,3 +254,53 @@ def test_cli_dim_and_indices_must_be_ints(tmp_path, capsys, dim, index):
     path.write_text(json.dumps(doc))
     assert main(["check", str(path)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("key,value", [("mu", [5]), ("mu", 5), ("basis", 3)])
+def test_cli_structures_must_be_lists(tmp_path, capsys, key, value):
+    _, path = _write_fixture(tmp_path, "z2_adjoint", GF(2))
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    for command in ("check", "cohomology"):
+        _assert_input_error(capsys, [command, str(path)])
+
+
+@pytest.mark.parametrize("field,value", [("dim", "2"), ("dim", 2.0),
+                                         ("out_arity", True), ("entries", ["0", 0, "1"])])
+def test_cli_tensor_document_fields_must_be_ints(tmp_path, capsys, field, value):
+    b = build_fixture("z2_adjoint", QQ)
+    cocycle = next(c for c in cocycle_basis(b) if c.psi.nnz())
+    cdoc = {"algebra": algebra_to_json(b)}
+    cdoc.update(cochain2_to_json(cocycle))
+    if field == "entries":
+        cdoc["psi"]["entries"][0] = value
+    else:
+        cdoc["psi"][field] = value
+    cfile = tmp_path / "cocycle.json"
+    cfile.write_text(json.dumps(cdoc))
+    _assert_input_error(capsys, ["deform", "--extend", str(cfile)])
+
+
+def test_cli_check_dimension_guard(tmp_path, capsys, monkeypatch):
+    doc = {"schema": "ybh/1", "field": {"kind": "rational"}, "dim": 1000000,
+           "mu": [[0, 0, 0, "1"]], "R": [[0, 0, 0, 0, "1"]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("resource guard: ") and "Traceback" not in err
+    # YBH_MAX_DIM overrides the default bound in both directions
+    _, small = _write_fixture(tmp_path, "z2_adjoint", QQ)
+    monkeypatch.setenv("YBH_MAX_DIM", "1")
+    assert main(["check", str(small)]) == 2
+    assert capsys.readouterr().err.startswith("resource guard: ")
+    monkeypatch.setenv("YBH_MAX_DIM", "2")
+    assert main(["check", str(small)]) == 0
+    capsys.readouterr()
+
+
+def test_cli_selftest_max_dim_zero_is_kept(capsys):
+    assert main(["selftest", "--trials", "1", "--max-dim", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["max_dim"] == 0 and report["checks"] == []

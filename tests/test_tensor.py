@@ -4,6 +4,7 @@ import pytest
 
 from ybh.constructions import FiniteGroup, group_algebra
 from ybh.errors import ArityError, InputError
+from ybh.fixtures import build_fixture
 from ybh.rng import SplitMix64
 from ybh.scalars import GF, QQ, TruncatedRing
 from ybh.tensor import (TensorMap, compose, decode_index, encode_index,
@@ -124,6 +125,48 @@ def test_tensor_product_strictly_associative():
         == tensor_product(f, tensor_product(g, h))
 
 
+def _sparse_copy(t):
+    return TensorMap.from_entries(t.field, t.dim, t.in_arity, t.out_arity,
+                                  list(t.entries()))
+
+
+def _assert_storage_rule(a, c, s):
+    """a and c are dense; with their sparse copies a_s and c_s, every dense or
+    mixed result is dense and has the entries of the all-sparse oracle."""
+    a_s, c_s = _sparse_copy(a), _sparse_copy(c)
+    cases = [
+        ([compose(c, a), compose(c, a_s), compose(c_s, a)], compose(c_s, a_s)),
+        ([tensor_product(a, c), tensor_product(a_s, c), tensor_product(a, c_s)],
+         tensor_product(a_s, c_s)),
+        ([a + a, a + a_s, a_s + a], a_s + a_s),
+        ([a - a.scale(s), a_s - a.scale(s), a - a_s.scale(s)], a_s - a_s.scale(s)),
+        ([a.scale(s)], a_s.scale(s)),
+        ([-a], -a_s),
+    ]
+    for dense, oracle in cases:
+        assert oracle._rep == "sparse"
+        for t in dense:
+            assert t._rep == "dense"
+            assert list(t.entries()) == list(oracle.entries())
+
+
+def _truncated_dense(ring, n, k, parts, rng):
+    """A dense truncated_from_parts map over GF(p)[hbar], checked against the
+    same entries built sparse with from_entries over the TruncatedRing."""
+    maps = [random_map(ring.base, 2, n, k, rng) if j in parts else None
+            for j in range(ring.order)]
+    dense = truncated_from_parts(ring, maps)
+    entries = {}
+    for j, t in enumerate(maps):
+        for r, c, v in (t.entries() if t is not None else ()):
+            entries.setdefault((r, c), [0] * ring.order)[j] = v
+    oracle = TensorMap.from_entries(ring, 2, n, k,
+                                    [(r, c, tuple(v)) for (r, c), v in entries.items()])
+    assert oracle._rep == "sparse" and dense._rep == "dense"
+    assert list(dense.entries()) == list(oracle.entries())
+    return dense
+
+
 def test_dense_and_sparse_paths_agree():
     field = GF(101)
     rng = SplitMix64(7)
@@ -133,6 +176,23 @@ def test_dense_and_sparse_paths_agree():
     assert compose(c, a) == compose(c, b_sparse)
     assert tensor_product(a, c) == tensor_product(b_sparse, c)
     assert a + b_sparse == b_sparse + a
+    _assert_storage_rule(a, c, 5)
+    ring, rng = TruncatedRing(GF(7), 3), SplitMix64(29)
+    _assert_storage_rule(_truncated_dense(ring, 2, 2, (0, 1, 2), rng),
+                         _truncated_dense(ring, 2, 1, (1,), rng), (3, 0, 5))
+
+
+def test_storage_rule_keeps_sparse_maps_sparse():
+    b = build_fixture("z2z2_adjoint", GF(101))
+    assert {b.mu._rep, b.r._rep, b.algebra.unit._rep} == {"sparse"}
+    assert compose(b.mu, b.r)._rep == "sparse"
+    # a full 32x32 map stored sparse: its composites stay sparse too
+    dense = random_map(GF(101), 2, 5, 5, SplitMix64(3))
+    full = _sparse_copy(dense)
+    assert full.nnz() > 1000
+    square = compose(full, full)
+    assert square._rep == "sparse"
+    assert list(square.entries()) == list(compose(dense, full).entries())
 
 
 def test_permutation_map():
