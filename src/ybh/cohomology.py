@@ -14,6 +14,12 @@ mixed axioms into the two (3,2) summands, and associativity into (3,1).
 "IY" to (1 ox mu)(R ox 1)(1 ox R) = R (mu ox 1); every formula in this
 module is keyed to those shapes, never to a name.
 
+Each differential is defined once, as an operator on cochains (delta1,
+delta2, delta3); its matrix (differential_matrix) is that operator applied
+to the basis cochains, column by column.  The independent oracle for
+delta2 is the hbar coefficient of the four axiom defects of
+(mu + hbar psi, R + hbar phi) over k[hbar]/(hbar^2) (delta2_oracle).
+
 Degree 3 -> 4 writes into eight private summands of C^4, one per coherence
 loop:
 
@@ -39,7 +45,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braided import BraidedAlgebra, iy_defect, mirror_map, yi_defect
+from .braided import (BraidedAlgebra, assoc_defect, iy_defect, mirror_map,
+                      yb_defect, yi_defect)
 from .errors import InputError, ResourceLimitError
 from .linalg import ExactMatrix
 from .scalars import TruncatedRing
@@ -136,6 +143,27 @@ def _r_of(x) -> TensorMap:
     return x.r
 
 
+def _lifts(x, key: str) -> tuple:
+    """(1, m, m ox 1, 1 ox m) for the structure map m = x.mu (key "mu") or
+    x.r (key "r"): the lifts every degree-1 and degree-2 formula reads.  An
+    algebra caches them (write-once; its maps are immutable); a raw map is
+    m itself and is lifted on each call."""
+    if isinstance(x, TensorMap):
+        m, cache = x, None
+    else:
+        cache = getattr(x, "_op_cache", None)
+        if cache is None:
+            cache = x._op_cache = {}
+        if key in cache:
+            return cache[key]
+        m = getattr(x, key)
+    one = identity_map(m.field, m.dim, 1)
+    lifts = (one, m, m.tensor(one), one.tensor(m))
+    if cache is not None:
+        cache[key] = lifts
+    return lifts
+
+
 def _expect(t: TensorMap, n: int, k: int, what: str):
     if (t.in_arity, t.out_arity) != (n, k):
         raise InputError(f"{what} must be a ({n}->{k}) map, "
@@ -148,19 +176,21 @@ def hochschild_differential(algebra, degree: int, cochain: TensorMap) -> TensorM
     """delta^n_H for n in 0..3; degree 2 carries the flipped overall sign
     (positive left terms), degree 3 is the standard pentagon, and the two
     conventions still compose to zero."""
-    mu = _mu_of(algebra)
-    one = identity_map(mu.field, mu.dim, 1)
     c = cochain
-    if degree == 0:
-        _expect(c, 0, 1, "degree-0 cochain")
-        return compose(mu, one.tensor(c)) - compose(mu, c.tensor(one))
     if degree == 1:
         _expect(c, 1, 1, "degree-1 cochain")
+        one, mu, _, _ = _lifts(algebra, "mu")
         return compose(mu, c.tensor(one)) + compose(mu, one.tensor(c)) - compose(c, mu)
     if degree == 2:
         _expect(c, 2, 1, "degree-2 cochain")
-        return compose(mu, c.tensor(one)) + compose(c, mu.tensor(one)) \
-            - compose(mu, one.tensor(c)) - compose(c, one.tensor(mu))
+        one, mu, mu1, mu2 = _lifts(algebra, "mu")
+        return compose(mu, c.tensor(one)) + compose(c, mu1) \
+            - compose(mu, one.tensor(c)) - compose(c, mu2)
+    mu = _mu_of(algebra)
+    one = identity_map(mu.field, mu.dim, 1)
+    if degree == 0:
+        _expect(c, 0, 1, "degree-0 cochain")
+        return compose(mu, one.tensor(c)) - compose(mu, c.tensor(one))
     if degree == 3:
         _expect(c, 3, 1, "degree-3 cochain")
         one2 = identity_map(mu.field, mu.dim, 2)
@@ -173,16 +203,15 @@ def hochschild_differential(algebra, degree: int, cochain: TensorMap) -> TensorM
 # ---------------------------------------------------------------- Yang-Baxter side
 
 def yang_baxter_differential(operator, degree: int, cochain: TensorMap) -> TensorMap:
-    r = _r_of(operator)
-    one = identity_map(r.field, r.dim, 1)
     c = cochain
     if degree == 1:
         _expect(c, 1, 1, "degree-1 cochain")
+        one, r, _, _ = _lifts(operator, "r")
         c1, c2 = c.tensor(one), one.tensor(c)
         return compose(r, c1) + compose(r, c2) - compose(c1, r) - compose(c2, r)
     if degree == 2:
         _expect(c, 2, 2, "degree-2 cochain")
-        r1, r2 = r.tensor(one), one.tensor(r)
+        one, _, r1, r2 = _lifts(operator, "r")
         p1, p2 = c.tensor(one), one.tensor(c)
         return compose(r1, r2, p1) + compose(r1, p2, r1) + compose(p1, r2, r1) \
             - compose(r2, r1, p2) - compose(r2, p1, r2) - compose(p2, r1, r2)
@@ -191,37 +220,30 @@ def yang_baxter_differential(operator, degree: int, cochain: TensorMap) -> Tenso
 
 # ---------------------------------------------------------------- mixed degree 2
 
-def delta2_yi(mu: TensorMap, r: TensorMap, phi: TensorMap, psi: TensorMap) -> TensorMap:
-    """Linearization of the YI axiom at (mu, R) in direction (phi, psi)."""
-    one = identity_map(mu.field, mu.dim, 1)
-    return compose(psi.tensor(one), one.tensor(r), r.tensor(one)) \
-        + compose(mu.tensor(one), one.tensor(phi), r.tensor(one)) \
-        + compose(mu.tensor(one), one.tensor(r), phi.tensor(one)) \
-        - compose(r, one.tensor(psi)) - compose(phi, one.tensor(mu))
-
-
-def delta2_iy(mu: TensorMap, r: TensorMap, phi: TensorMap, psi: TensorMap) -> TensorMap:
-    """Linearization of the IY axiom at (mu, R) in direction (phi, psi)."""
-    one = identity_map(mu.field, mu.dim, 1)
-    return compose(one.tensor(psi), r.tensor(one), one.tensor(r)) \
-        + compose(one.tensor(mu), phi.tensor(one), one.tensor(r)) \
-        + compose(one.tensor(mu), r.tensor(one), one.tensor(phi)) \
-        - compose(r, psi.tensor(one)) - compose(phi, mu.tensor(one))
-
-
 def mixed_differential_d2(b: BraidedAlgebra, c: YBH2Cochain):
-    """Both mixed components of delta^2, (YI, IY)."""
-    return (delta2_yi(b.mu, b.r, c.phi, c.psi), delta2_iy(b.mu, b.r, c.phi, c.psi))
+    """Both mixed components of delta^2, (YI, IY): the linearizations of the
+    YI and IY axioms at (mu, R) in the direction (phi, psi)."""
+    one, mu, mu1, mu2 = _lifts(b, "mu")
+    _, r, r1, r2 = _lifts(b, "r")
+    phi, psi = c.phi, c.psi
+    p1, p2 = phi.tensor(one), one.tensor(phi)
+    s1, s2 = psi.tensor(one), one.tensor(psi)
+    yi = compose(s1, r2, r1) + compose(mu1, p2, r1) + compose(mu1, r2, p1) \
+        - compose(r, s2) - compose(phi, mu2)
+    iy = compose(s2, r1, r2) + compose(mu2, p1, r2) + compose(mu2, r1, p2) \
+        - compose(r, s1) - compose(phi, mu1)
+    return yi, iy
 
 
-def mixed_differential_d2_oracle(b: BraidedAlgebra, c: YBH2Cochain):
-    """Independent route: the hbar coefficient of the two axiom defects of
-    (mu + hbar psi, R + hbar phi) over k[hbar]/(hbar^2)."""
+def delta2_oracle(b: BraidedAlgebra, c: YBH2Cochain) -> YBH3Cochain:
+    """Independent route to delta^2: the hbar coefficient of the four axiom
+    defects (YBE, YI, IY, associativity) of (mu + hbar psi, R + hbar phi)
+    over k[hbar]/(hbar^2)."""
     ring = TruncatedRing(b.field, 2)
     mu_t = truncated_from_parts(ring, [b.mu, c.psi])
     r_t = truncated_from_parts(ring, [b.r, c.phi])
-    return (truncated_part(yi_defect(mu_t, r_t), 1),
-            truncated_part(iy_defect(mu_t, r_t), 1))
+    return YBH3Cochain(*(truncated_part(t, 1) for t in (
+        yb_defect(r_t), yi_defect(mu_t, r_t), iy_defect(mu_t, r_t), assoc_defect(mu_t))))
 
 
 # ---------------------------------------------------------------- total degree 1, 2
@@ -450,23 +472,11 @@ def cochain4_size(d: int) -> int:
 
 # ---------------------------------------------------------------- matrices
 
-def basis_cochain2(field, d: int, index: int) -> YBH2Cochain:
-    nphi, npsi = cochain2_sizes(d)
-    phi = TensorMap.zero(field, d, 2, 2)
-    psi = TensorMap.zero(field, d, 2, 1)
-    if index < nphi:
-        phi = unflatten({index: field.one}, field, d, 2, 2)
-    elif index < nphi + npsi:
-        psi = unflatten({index - nphi: field.one}, field, d, 2, 1)
-    else:
-        raise InputError("basis index out of range")
-    return YBH2Cochain(phi, psi)
-
-
 def differential_matrix(b: BraidedAlgebra, degree: int) -> ExactMatrix:
-    """Matrix of delta^1, delta^2 or delta^3 (private targets) in the
-    flatten bases (column by column on basis cochains).  Cached on the
-    algebra object (write-once; the structure maps are immutable)."""
+    """Matrix of delta1, delta2 or delta3 (private targets) in the flatten
+    bases: the operator applied to each basis cochain, one column each.
+    Cached on the algebra object (write-once; the structure maps are
+    immutable)."""
     cache = getattr(b, "_matrix_cache", None)
     if cache is None:
         cache = {}
@@ -477,58 +487,16 @@ def differential_matrix(b: BraidedAlgebra, degree: int) -> ExactMatrix:
     return cache[degree]
 
 
-def _structure_ops(b: BraidedAlgebra) -> dict:
-    """Per-algebra cache of the lifted structure operators every
-    differential reuses; write-once, the maps are immutable."""
-    ops = getattr(b, "_op_cache", None)
-    if ops is None:
-        one = identity_map(b.field, b.dim, 1)
-        ops = {"one": one, "r1": b.r.tensor(one), "r2": one.tensor(b.r),
-               "mu1": b.mu.tensor(one), "mu2": one.tensor(b.mu)}
-        b._op_cache = ops
-    return ops
-
-
-def _delta2_fast(b: BraidedAlgebra, c: YBH2Cochain, ops: dict) -> YBH3Cochain:
-    one, r1, r2 = ops["one"], ops["r1"], ops["r2"]
-    mu1, mu2 = ops["mu1"], ops["mu2"]
-    mu, r = b.mu, b.r
-    phi, psi = c.phi, c.psi
-    p1, p2 = phi.tensor(one), one.tensor(phi)
-    s1, s2 = psi.tensor(one), one.tensor(psi)
-    beta = compose(r1, r2, p1) + compose(r1, p2, r1) + compose(p1, r2, r1) \
-        - compose(r2, r1, p2) - compose(r2, p1, r2) - compose(p2, r1, r2)
-    ayi = compose(s1, r2, r1) + compose(mu1, p2, r1) + compose(mu1, r2, p1) \
-        - compose(r, s2) - compose(phi, mu2)
-    aiy = compose(s2, r1, r2) + compose(mu2, p1, r2) + compose(mu2, r1, p2) \
-        - compose(r, s1) - compose(phi, mu1)
-    gamma = compose(mu, s1) + compose(psi, mu1) - compose(mu, s2) - compose(psi, mu2)
-    return YBH3Cochain(beta=beta, alpha_yi=ayi, alpha_iy=aiy, gamma=gamma)
-
-
 def _differential_matrix_uncached(b: BraidedAlgebra, degree: int) -> ExactMatrix:
     field, d = b.field, b.dim
-    ops = _structure_ops(b)
     if degree == 1:
-        rows = sum(cochain2_sizes(d))
-        cols = d * d
-        columns = []
-        one, r1, r2, mu1, mu2 = (ops[k] for k in ("one", "r1", "r2", "mu1", "mu2"))
-        for idx in range(cols):
-            f = unflatten({idx: field.one}, field, d, 1, 1)
-            f1, f2 = f.tensor(one), one.tensor(f)
-            phi = compose(b.r, f1) + compose(b.r, f2) - compose(f1, b.r) - compose(f2, b.r)
-            psi = compose(b.mu, f1) + compose(b.mu, f2) - compose(f, b.mu)
-            columns.append(flatten2(YBH2Cochain(phi, psi)))
-        return ExactMatrix.from_columns(field, rows, columns)
+        columns = [flatten2(delta1(b, unflatten({idx: field.one}, field, d, 1, 1)))
+                   for idx in range(d * d)]
+        return ExactMatrix.from_columns(field, sum(cochain2_sizes(d)), columns)
     if degree == 2:
-        rows = sum(cochain3_sizes(d))
-        cols = sum(cochain2_sizes(d))
-        columns = []
-        for idx in range(cols):
-            c = basis_cochain2(field, d, idx)
-            columns.append(flatten3(_delta2_fast(b, c, ops)))
-        return ExactMatrix.from_columns(field, rows, columns)
+        columns = [flatten3(delta2(b, unflatten2({idx: field.one}, field, d)))
+                   for idx in range(sum(cochain2_sizes(d)))]
+        return ExactMatrix.from_columns(field, sum(cochain3_sizes(d)), columns)
     if degree == 3:
         columns = [flatten4(delta3(b, unflatten3({idx: field.one}, field, d)))
                    for idx in range(sum(cochain3_sizes(d)))]
@@ -542,10 +510,6 @@ def _guard(d: int, max_dim: int | None, default: int, what: str):
         raise ResourceLimitError(
             f"{what} at dimension {d} exceeds the bound {bound}; "
             f"raise --max-dim / YBH_MAX_DIM to opt in")
-
-
-def ensure_dim_allowed(d: int, max_dim: int | None, degree: int, what: str):
-    _guard(d, max_dim, MAX_DIM_DEGREE2 if degree == 2 else MAX_DIM_DEGREE3, what)
 
 
 # ---------------------------------------------------------------- bases and dimensions

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braided import BraidedAlgebra, _check, assert_braided, braided_algebra
+from .braided import (BraidedAlgebra, _check, assert_braided, assoc_defect,
+                      braided_algebra)
+from .cohomology import YBH2Cochain, delta2 as ybh_delta2, hochschild_differential
 from .constructions import FiniteGroup, dual_numbers
 from .errors import InputError, InternalCheckError, ValidationError
 from .linalg import ExactMatrix
@@ -51,7 +53,7 @@ class HopfAlgebra:
         tau = transposition(f, d)
         mu, eta, delta, eps, s = self.mu, self.eta, self.delta, self.epsilon, self.antipode
         checks = [
-            _check("associativity", compose(mu, mu.tensor(one)) - compose(mu, one.tensor(mu))),
+            _check("associativity", assoc_defect(mu)),
             _check("unit-left", compose(mu, eta.tensor(one)) - one),
             _check("unit-right", compose(mu, one.tensor(eta)) - one),
             _check("coassociativity",
@@ -255,7 +257,7 @@ def hopf_coboundary(h: HopfAlgebra, f: TensorMap) -> HopfTwoCochain:
     """The 2-cochain pair split off by conjugating the undeformed structure
     with 1 + hbar f:
 
-        xi   = f mu - mu (f ox 1) - mu (1 ox f)
+        xi   = f mu - mu (f ox 1) - mu (1 ox f)       (= -delta^1_H f)
         zeta = (f ox 1) Delta + (1 ox f) Delta - Delta f
 
     With these relative signs the pair satisfies all three 2-cocycle
@@ -265,7 +267,7 @@ def hopf_coboundary(h: HopfAlgebra, f: TensorMap) -> HopfTwoCochain:
     if (f.in_arity, f.out_arity) != (1, 1) or f.dim != h.dim:
         raise InputError("coboundary argument must be a (1->1) map")
     one = identity_map(h.field, h.dim, 1)
-    xi = compose(f, h.mu) - compose(h.mu, f.tensor(one)) - compose(h.mu, one.tensor(f))
+    xi = -hochschild_differential(h.mu, 1, f)
     zeta = compose(f.tensor(one), h.delta) + compose(one.tensor(f), h.delta) \
         - compose(h.delta, f)
     return HopfTwoCochain(xi=xi, zeta=zeta)
@@ -277,8 +279,7 @@ def _cocycle_defects(h: HopfAlgebra, c: HopfTwoCochain) -> list:
     tau = transposition(f, d)
     mu, delta = h.mu, h.delta
     xi, zeta = c.xi, c.zeta
-    alg = compose(mu, xi.tensor(one)) + compose(xi, mu.tensor(one)) \
-        - compose(mu, one.tensor(xi)) - compose(xi, one.tensor(mu))
+    alg = hochschild_differential(mu, 2, xi)
     coalg = compose(one.tensor(zeta), delta) + compose(one.tensor(delta), zeta) \
         - compose(zeta.tensor(one), delta) - compose(delta.tensor(one), zeta)
     # Delta^13(x) Delta^24(y) compiles to the shuffle (1 ox tau ox 1)(Delta ox Delta)
@@ -344,7 +345,6 @@ def psi_map(h: HopfAlgebra, c: HopfTwoCochain, check: bool = True):
     over k[hbar]/(hbar^2).  For a normalized cocycle the result is a
     2-cocycle of (H, mu, R_H); that is re-verified unless check=False.
     """
-    from .cohomology import YBH2Cochain, delta2 as ybh_delta2
     if not check_normalized(h, c):
         raise InputError("psi_map needs a normalized 2-cochain")
     bad = [r for r in check_hopf_2cocycle(h, c) if not r.ok]

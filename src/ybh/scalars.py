@@ -287,14 +287,6 @@ class TruncatedRing:
     def from_int(self, n: int):
         return (self.base.from_int(n),) + (self.base.zero,) * (self.order - 1)
 
-    def embed(self, x, degree: int = 0):
-        """Base scalar x placed as the coefficient of hbar^degree."""
-        if not 0 <= degree < self.order:
-            raise InputError(f"degree {degree} outside truncation order {self.order}")
-        out = [self.base.zero] * self.order
-        out[degree] = x
-        return tuple(out)
-
     def coefficient(self, a, j: int):
         if not 0 <= j < self.order:
             raise InputError(f"coefficient index {j} outside truncation order {self.order}")

@@ -165,20 +165,7 @@ def algebra_from_json(doc: dict, validate: bool = True):
 
 
 def load_algebra(path: str):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"no such file: {path}")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"parse error in {path} at line {exc.lineno} "
-                         f"column {exc.colno}: {exc.msg}")
-    return algebra_from_json(doc)
-
-
-def save_algebra(obj, path: str, provenance: dict | None = None):
-    with open(path, "w") as fh:
-        fh.write(canonical_json(algebra_to_json(obj, provenance)))
+    return algebra_from_json(load_json(path))
 
 
 # ---------------------------------------------------------------- cochains and series

@@ -300,6 +300,37 @@ def test_cli_check_dimension_guard(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_cli_guards_run_before_loading(tmp_path, capsys, monkeypatch):
+    # cohomology, deform --extend and deform --series trip their guard on the
+    # declared dim before loading runs a single axiom check
+    huge = {"schema": "ybh/1", "field": {"kind": "rational"}, "dim": 1000000,
+            "mu": [[0, 0, 0, "1"]], "R": [[0, 0, 0, 0, "1"]]}
+    b = build_fixture("z2_adjoint", QQ)
+    c = cocycle_basis(b)[0]
+    cocycle = cochain2_to_json(c)
+    series = series_to_json(series_from_cocycle(b, c))
+    docs = {"cohomology": (huge, huge),
+            "--extend": ({"algebra": huge, **cocycle}, {"algebra": algebra_to_json(b), **cocycle}),
+            "--series": ({**series, "algebra": huge}, series)}
+    for key, (big, small) in docs.items():
+        argv = ["cohomology"] if key == "cohomology" else ["deform", key]
+        for name, doc in (("big", big), ("small", small)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        monkeypatch.delenv("YBH_MAX_DIM", raising=False)
+        assert main(argv + [str(tmp_path / "big.json")]) == 2, key
+        err = capsys.readouterr().err
+        assert err.startswith("resource guard: ") and "Traceback" not in err
+        if key == "cohomology":
+            continue
+        # YBH_MAX_DIM overrides the default bound of both deform modes
+        monkeypatch.setenv("YBH_MAX_DIM", "1")
+        assert main(argv + [str(tmp_path / "small.json")]) == 2, key
+        assert capsys.readouterr().err.startswith("resource guard: ")
+        monkeypatch.setenv("YBH_MAX_DIM", "2")
+        assert main(argv + [str(tmp_path / "small.json")]) in (0, 1), key
+        capsys.readouterr()
+
+
 def test_cli_selftest_max_dim_zero_is_kept(capsys):
     assert main(["selftest", "--trials", "1", "--max-dim", "0"]) == 0
     report = json.loads(capsys.readouterr().out)

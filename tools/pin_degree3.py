@@ -22,15 +22,16 @@ Part 2 re-verifies the frozen tables and the three handwritten mixed
 components by substituting actual axiom defects of random NON-braided
 (mu, R) over GF(101) and Q and asserting exact zero.
 
-Run:  python tools/pin_degree3.py
+Run from any directory:  python tools/pin_degree3.py
 """
 
 from __future__ import annotations
 
 import sys
 from collections import deque
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ybh.braided import assoc_defect, iy_defect, yb_defect, yi_defect
 from ybh.cohomology import (YB4_LOOP_TERMS, YBH3Cochain, _word_op,
