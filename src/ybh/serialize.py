@@ -55,15 +55,22 @@ def tensor_to_json(t: TensorMap) -> dict:
             "entries": [[r, c, field.unparse(v)] for r, c, v in t.entries()]}
 
 
-def tensor_from_json(obj: dict, field) -> TensorMap:
+def tensor_from_json(obj: dict, field, arities=None) -> TensorMap:
+    """A map from its document; arities (in, out), when given, are checked
+    before the d^arity grid is sized."""
     try:
-        d, n, k = obj["dim"], obj["in_arity"], obj["out_arity"]
-        entries = [(r, c, field.parse(s)) for r, c, s in obj["entries"]]
+        d, n, k, rows = obj["dim"], obj["in_arity"], obj["out_arity"], obj["entries"]
+        if not isinstance(rows, list):
+            raise InputError("bad tensor map document: entries must be a list")
+        entries = [(r, c, field.parse(s)) for r, c, s in rows]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad tensor map document: {exc}")
     for i in (d, n, k, *(i for e in entries for i in e[:2])):
         if type(i) is not int:
             raise InputError(f"bad tensor map document: {i!r} is not an integer")
+    if arities is not None and (n, k) != arities:
+        raise InputError(f"bad tensor map document: a ({n}->{k}) map where "
+                         f"({arities[0]}->{arities[1]}) is needed")
     return TensorMap.from_entries(field, d, n, k, entries)
 
 
@@ -140,7 +147,7 @@ def algebra_from_json(doc: dict, validate: bool = True):
     d = doc["dim"]
     if type(d) is not int or d < 1:
         raise InputError(f"bad dimension {d!r}")
-    labels = doc.get("basis") or [f"e{i}" for i in range(d)]
+    labels = doc["basis"] if "basis" in doc else [f"e{i}" for i in range(d)]
     if not isinstance(labels, list) or len(labels) != d:
         raise InputError("basis must be a list with one label per dimension")
     if "mu" not in doc:
@@ -177,8 +184,8 @@ def cochain2_to_json(c) -> dict:
 def cochain2_from_json(obj: dict, field):
     from .cohomology import YBH2Cochain
     try:
-        return YBH2Cochain(phi=tensor_from_json(obj["phi"], field),
-                           psi=tensor_from_json(obj["psi"], field))
+        return YBH2Cochain(phi=tensor_from_json(obj["phi"], field, (2, 2)),
+                           psi=tensor_from_json(obj["psi"], field, (2, 1)))
     except KeyError as exc:
         raise InputError(f"cochain document missing {exc}")
 
@@ -194,12 +201,18 @@ def series_from_json(doc: dict):
     from .deformation import DeformationSeries
     if not isinstance(doc, dict) or "algebra" not in doc:
         raise InputError("deformation series document needs an 'algebra' entry")
+    if doc.get("schema", SCHEMA) != SCHEMA:
+        raise InputError(f"unsupported schema {doc['schema']!r}, expected {SCHEMA!r}")
     base = algebra_from_json(doc["algebra"])
     if isinstance(base, HopfAlgebra):
         raise InputError("deformation series base must be a braided algebra document")
+    terms = {key: doc.get(key, []) for key in ("phi_terms", "psi_terms")}
+    for key, value in terms.items():
+        if not isinstance(value, list):
+            raise InputError(f"{key} must be a list of tensor map documents")
     field = base.field
-    phis = [tensor_from_json(t, field) for t in doc.get("phi_terms", [])]
-    psis = [tensor_from_json(t, field) for t in doc.get("psi_terms", [])]
+    phis = [tensor_from_json(t, field, (2, 2)) for t in terms["phi_terms"]]
+    psis = [tensor_from_json(t, field, (2, 1)) for t in terms["psi_terms"]]
     return DeformationSeries(base, phis, psis)
 
 

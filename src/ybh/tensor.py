@@ -17,6 +17,17 @@ in, dense out":
   at least one operand is already dense, and every grid involved (both
   operands and the result) has at most _DENSE_CELLS cells; the sparse
   operand is then converted.  Every other case runs sparse.
+
+Sparse composition is driven by sparsity.  compose(f, g, h, ...) starts from
+the factor with the fewest stored columns (len(_data) when sparse, cols when
+dense), absorbs every factor to its left and then every factor to its right;
+composition is exactly associative, so the product is the same map.  Each
+sparse product a o b runs from the operand with fewer stored columns: for
+every stored column of b it gathers columns of a (column route), or for
+every stored column k of a it scatters row k of b (row route).  The row
+route reads b through a {row: {col: scalar}} index built on first use and
+kept on the map (maps are immutable), so a structure lift such as R (x) 1,
+composed with many one-column cochain lifts, builds its index once.
 """
 
 from __future__ import annotations
@@ -58,7 +69,7 @@ def _is_prime_based(ring) -> bool:
 
 
 class TensorMap:
-    __slots__ = ("field", "dim", "in_arity", "out_arity", "_rep", "_data")
+    __slots__ = ("field", "dim", "in_arity", "out_arity", "_rep", "_data", "_rows")
 
     def __init__(self, field, dim, in_arity, out_arity, rep, data):
         if dim < 1 or in_arity < 0 or out_arity < 0:
@@ -69,6 +80,7 @@ class TensorMap:
         self.out_arity = out_arity
         self._rep = rep
         self._data = data
+        self._rows = None
 
     @property
     def rows(self) -> int:
@@ -87,8 +99,8 @@ class TensorMap:
     @classmethod
     def from_entries(cls, field, dim, in_arity, out_arity, entries):
         """entries: iterable of (row, col, scalar); duplicates accumulate."""
-        m = cls.zero(field, dim, in_arity, out_arity)
-        rows, cols = m.rows, m.cols
+        zero = cls.zero(field, dim, in_arity, out_arity)   # validates the shape
+        rows, cols = zero.rows, zero.cols
         data = {}
         for r, c, v in entries:
             if not (0 <= r < rows and 0 <= c < cols):
@@ -99,8 +111,8 @@ class TensorMap:
                 col.pop(r, None)
             else:
                 col[r] = v
-        m._data = {c: col for c, col in data.items() if col}
-        return m
+        return cls(field, dim, in_arity, out_arity, "sparse",
+                   {c: col for c, col in data.items() if col})
 
     @classmethod
     def identity(cls, field, dim, arity):
@@ -195,13 +207,32 @@ class TensorMap:
 
     # ------------------------------------------------------------------ composition
 
-    def compose(self, other: "TensorMap") -> "TensorMap":
-        """self after other; arities (other.in -> self.out)."""
+    def _require_composable(self, other: "TensorMap", out_arity: int):
+        """Raise unless self can follow other; out_arity is the output arity
+        named in the message (a chain's leftmost factor)."""
         self._require_same_ring(other, "compose")
         if other.out_arity != self.in_arity:
             raise ArityError(self.in_arity, other.out_arity,
                              f"composing ({other.in_arity}->{other.out_arity}) "
-                             f"into ({self.in_arity}->{self.out_arity})")
+                             f"into ({self.in_arity}->{out_arity})")
+
+    def _stored_cols(self) -> int:
+        return len(self._data) if self._rep == "sparse" else self.cols
+
+    def _row_index(self) -> dict:
+        """{row: {col: scalar}} of a sparse map, built on first use and kept:
+        _data is set only at construction."""
+        if self._rows is None:
+            rows = {}
+            for c, col in self._data.items():
+                for r, v in col.items():
+                    rows.setdefault(r, {})[c] = v
+            self._rows = rows
+        return self._rows
+
+    def compose(self, other: "TensorMap") -> "TensorMap":
+        """self after other; arities (other.in -> self.out)."""
+        self._require_composable(other, self.out_arity)
         if self._dense_with(other, self.rows * other.cols):
             return self._compose_dense(other)
         return self._as_sparse()._compose_sparse(other._as_sparse())
@@ -220,23 +251,36 @@ class TensorMap:
                          "dense", _matmul_mod(a, b, p))
 
     def _compose_sparse(self, other: "TensorMap") -> "TensorMap":
+        """Driven from the operand with fewer stored columns: for each column
+        of other gather columns of self, or for each column k of self
+        scatter row k of other (read through other's cached row index)."""
         field = self.field
         add, mul, is_zero = field.add, field.mul, field.is_zero
         a, b = self._data, other._data
         data = {}
-        for j, bcol in b.items():
-            acc = {}
-            for k, bv in bcol.items():
-                acol = a.get(k)
-                if not acol:
-                    continue
-                for i, av in acol.items():
-                    prod = mul(av, bv)
-                    acc[i] = add(acc[i], prod) if i in acc else prod
-            acc = {i: v for i, v in acc.items() if not is_zero(v)}
-            if acc:
-                data[j] = acc
-        return TensorMap(field, self.dim, other.in_arity, self.out_arity, "sparse", data)
+        if len(a) < len(b):
+            brows = other._row_index()
+            for k, acol in a.items():
+                for j, bv in brows.get(k, {}).items():
+                    acc = data.get(j)
+                    if acc is None:
+                        acc = data[j] = {}
+                    for i, av in acol.items():
+                        prod = mul(av, bv)
+                        acc[i] = add(acc[i], prod) if i in acc else prod
+        else:
+            for j, bcol in b.items():
+                acc = data[j] = {}
+                for k, bv in bcol.items():
+                    for i, av in a.get(k, {}).items():
+                        prod = mul(av, bv)
+                        acc[i] = add(acc[i], prod) if i in acc else prod
+        out = {}
+        for j, acc in data.items():
+            col = {i: v for i, v in acc.items() if not is_zero(v)}
+            if col:
+                out[j] = col
+        return TensorMap(field, self.dim, other.in_arity, self.out_arity, "sparse", out)
 
     # ------------------------------------------------------------------ tensor product
 
@@ -394,15 +438,21 @@ class TensorMap:
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # int64 is safe: entries sit in [0, p), p < 2^31, and we reduce blockwise
-    # before the accumulant can reach 2^63 (k * p^2 bound).
-    k = a.shape[1]
-    if k * (p - 1) * (p - 1) < (1 << 62):
-        return (a @ b) % p
+    """(a @ b) mod p for int64 residue matrices with entries in [0, p).
+
+    The inner dimension is cut into blocks, each reduced before it is added.
+    While (p-1)^2 < 2^53 the blocks run in float64 (BLAS) and hold at most
+    2^53 // (p-1)^2 inner columns, so every partial sum is an integer of at
+    most 2^53 and exact; larger primes (p < 2^31) run in int64 with at most
+    2^62 // (p-1)^2 inner columns per block."""
+    sq = (p - 1) * (p - 1)
+    if sq < 1 << 53:
+        a, b, step = a.astype(np.float64), b.astype(np.float64), (1 << 53) // sq
+    else:
+        step = (1 << 62) // sq
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    step = max(1, (1 << 62) // ((p - 1) * (p - 1)))
-    for lo in range(0, k, step):
-        out = (out + a[:, lo:lo + step] @ b[lo:lo + step, :]) % p
+    for lo in range(0, a.shape[1], step):
+        out = (out + (a[:, lo:lo + step] @ b[lo:lo + step]).astype(np.int64, copy=False)) % p
     return out
 
 
@@ -415,9 +465,18 @@ def tensor_product(f: TensorMap, g: TensorMap) -> TensorMap:
 
 
 def compose(f: TensorMap, *rest: TensorMap) -> TensorMap:
-    """compose(f, g, h, ...) = f o g o h o ... (rightmost applied first)."""
-    out = f
-    for g in rest:
+    """compose(f, g, h, ...) = f o g o h o ... (rightmost applied first).
+
+    Starts from the factor with the fewest stored columns, absorbs every
+    factor to its left, then every factor to its right."""
+    maps = (f,) + rest
+    for i in range(1, len(maps)):
+        maps[i - 1]._require_composable(maps[i], f.out_arity)
+    start = min(range(len(maps)), key=lambda i: maps[i]._stored_cols())
+    out = maps[start]
+    for g in reversed(maps[:start]):
+        out = g.compose(out)
+    for g in maps[start + 1:]:
         out = out.compose(g)
     return out
 

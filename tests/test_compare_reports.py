@@ -1,0 +1,28 @@
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_reports.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("compare_reports", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_reports_same_tree_is_byte_identical(tmp_path):
+    # one fixture, the same tree on both sides, in-process
+    tool = _tool()
+    fields = {"F2": tool.FIELDS["F2"]}
+    codes = tool.write_reports(tmp_path / "a", ["z2_adjoint"], fields, selftest=False)
+    tool.write_reports(tmp_path / "b", ["z2_adjoint"], fields, selftest=False)
+    assert tool.diff_dirs(tmp_path / "a", tmp_path / "b") == []
+    # z2_adjoint over F2 has cocycles that extend and ones that do not
+    assert {codes[n] for n in codes if ".extend" in n} == {0, 1}
+    assert codes["z2_adjoint-F2.cohomology3.json"] == 0
+    assert json.loads((tmp_path / "a" / "exit_codes.json").read_text()) == codes
+    (tmp_path / "b" / "z2_adjoint-F2.check.json").write_text("{}")
+    assert tool.diff_dirs(tmp_path / "a", tmp_path / "b") == ["z2_adjoint-F2.check.json"]
+    assert tool.main(["only-one"]) == 2

@@ -1,14 +1,15 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ybh.constructions import FiniteGroup, group_algebra
 from ybh.errors import ArityError, InputError
 from ybh.fixtures import build_fixture
 from ybh.rng import SplitMix64
-from ybh.scalars import GF, QQ, TruncatedRing
-from ybh.tensor import (TensorMap, compose, decode_index, encode_index,
-                        identity_map, linear_combination, random_map,
+from ybh.scalars import GF, QQ, PrimeField, TruncatedRing, base_of
+from ybh.tensor import (TensorMap, _matmul_mod, compose, decode_index,
+                        encode_index, identity_map, linear_combination, random_map,
                         tensor_product, transposition, truncated_from_parts,
                         truncated_part, unflatten)
 
@@ -228,3 +229,145 @@ def test_with_shape_regroups_pairs():
         == compose(big, big).with_shape(4, 2, 2)
     with pytest.raises(InputError):
         big.with_shape(3, 2, 2)
+
+
+# ---------------------------------------------------------------- composition kernel
+
+def _left_to_right(maps):
+    """Oracle: the chain multiplied left to right, each product gathered
+    column by column on sparse copies (the kernel's column route)."""
+    out = maps[0]
+    for g in maps[1:]:
+        field, a, b = out.field, out.to_sparse_data(), g.to_sparse_data()
+        entries = [(i, j, field.mul(av, bv)) for j, bcol in b.items()
+                   for k, bv in bcol.items() for i, av in a.get(k, {}).items()]
+        out = TensorMap.from_entries(field, out.dim, g.in_arity, out.out_arity, entries)
+    return out
+
+
+def _typed_entries(t):
+    return [(r, c, v, type(v)) for r, c, v in t.entries()]
+
+
+def _nonzero(field, rng):
+    while True:
+        v = field.random(rng, 5)
+        if not field.is_zero(v):
+            return v
+
+
+def _kernel_operand(field, n, k, kind, rng):
+    """A 2^k x 2^n map of the given kind over field."""
+    rows, cols = 2 ** k, 2 ** n
+    if kind == "dense":
+        if isinstance(field, TruncatedRing):
+            return truncated_from_parts(field, [random_map(field.base, 2, n, k, rng)
+                                                for _ in range(field.order)])
+        return random_map(field, 2, n, k, rng)
+    if kind == "zero":
+        cells = []
+    elif kind == "single":
+        cells = [(rng.randrange(rows), rng.randrange(cols))]
+    elif kind == "full":
+        cells = [(r, c) for r in range(rows) for c in range(cols)]
+    else:  # "holes": every other column empty, the rest random
+        cells = [(r, c) for r in range(rows) for c in range(cols)
+                 if c % 2 and rng.randrange(3)]
+    return TensorMap.from_entries(field, 2, n, k,
+                                  [(r, c, _nonzero(field, rng)) for r, c in cells])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(2), TruncatedRing(GF(7), 3)],
+                         ids=["Q", "GF101", "GF2", "GF7_h3"])
+def test_chain_matches_left_to_right_column_route(field):
+    """Seeded chains of 2-5 factors equal the left-to-right column-route
+    product entry for entry, scalar types included, whichever factor the
+    chain starts from and whichever route each product takes."""
+    rng = SplitMix64(41)
+    kinds = ["single", "full", "zero", "holes", "single", "full"]
+    if isinstance(base_of(field), PrimeField):
+        kinds.append("dense")
+    for _ in range(60):
+        arities = [rng.randint(0, 3) for _ in range(rng.randint(3, 6))]
+        maps = [_kernel_operand(field, arities[i + 1], arities[i],
+                                kinds[rng.randrange(len(kinds))], rng)
+                for i in range(len(arities) - 1)]
+        got, want = compose(*maps), _left_to_right(maps)
+        assert (got.in_arity, got.out_arity) == (arities[-1], arities[0])
+        assert _typed_entries(got) == _typed_entries(want)
+
+
+def test_both_routes_of_one_product_agree():
+    rng = SplitMix64(43)
+    full = _kernel_operand(QQ, 3, 3, "full", rng)
+    for kind in ("single", "holes", "zero"):
+        sparse = _kernel_operand(QQ, 3, 3, kind, rng)
+        # sparse on the left drives the row route, on the right the column route
+        assert len(sparse._data) < len(full._data)
+        for maps in ([sparse, full], [full, sparse], [full, sparse, full]):
+            assert _typed_entries(compose(*maps)) == _typed_entries(_left_to_right(maps))
+
+
+def test_row_index_survives_with_shape():
+    """A right operand keeps serving correct products through its cached row
+    index, before and after it is regrouped by with_shape."""
+    rng = SplitMix64(44)
+    b = _kernel_operand(GF(101), 2, 2, "full", rng)            # 4x4 at dim 2
+    b4 = b.with_shape(4, 1, 1)                                  # the same grid at dim 4
+    for _ in range(3):
+        a = _kernel_operand(GF(101), 2, 2, "single", rng)
+        assert _typed_entries(a.compose(b)) == _typed_entries(_left_to_right([a, b]))
+        assert b._rows is not None
+        a4 = a.with_shape(4, 1, 1)
+        assert _typed_entries(a4.compose(b4)) \
+            == _typed_entries(_left_to_right([a4, b4]))
+        assert list(a4.compose(b4).entries()) == list(a.compose(b).entries())
+
+
+def test_invalid_chain_raises_the_left_to_right_error():
+    rng = SplitMix64(45)
+    f = random_map(QQ, 2, 3, 1, rng, span=3)        # 3 -> 1
+    g = random_map(QQ, 2, 2, 3, rng, span=3)        # 2 -> 3
+    h = TensorMap.zero(QQ, 2, 1, 1)                 # 1 -> 1, the sparsest factor
+    with pytest.raises(ArityError) as err:
+        compose(f, g, h)
+    assert str(err.value) == "arity mismatch: needed 2, got 1 (composing (1->1) into (2->1))"
+    with pytest.raises(InputError, match="compose: dimension mismatch 2 vs 3"):
+        compose(f, g, TensorMap.zero(QQ, 3, 1, 2))
+
+
+def test_d2_assembly_builds_each_lift_row_index_once(monkeypatch):
+    from ybh.cohomology import _lifts, differential_matrix
+    builds = []
+    row_index = TensorMap._row_index
+
+    def counting(self):
+        if self._rows is None:
+            builds.append(self)        # kept alive, so identities stay distinct
+        return row_index(self)
+
+    monkeypatch.setattr(TensorMap, "_row_index", counting)
+    b = build_fixture("z2_adjoint", QQ)
+    differential_matrix(b, 2)
+    counts = [sum(t is built for built in builds) for t in _lifts(b, "mu") + _lifts(b, "r")]
+    assert max(counts) == 1 and sum(counts) >= 2
+
+
+def _is_prime(n):
+    return n > 1 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+
+
+# 94906249 is the largest prime with (p-1)^2 < 2^53 (float64 blocks),
+# 94906297 the smallest above it (int64 blocks).
+@pytest.mark.parametrize("p", [2, 101, 65521, 94906249, 94906297, 2 ** 31 - 1])
+def test_matmul_mod_matches_integer_oracle(p):
+    assert _is_prime(p)
+    assert ((p - 1) ** 2 < 1 << 53) == (p <= 94906249)
+    rng = np.random.default_rng(p % 1000)
+    for k in (1, 7, 64, 512):
+        for a, b in [(rng.integers(0, p, (3, k)), rng.integers(0, p, (k, 4))),
+                     (np.full((2, k), p - 1), np.full((k, 3), p - 1))]:
+            want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T]
+                    for row in a]
+            got = _matmul_mod(a, b, p)
+            assert got.dtype == np.int64 and got.tolist() == want

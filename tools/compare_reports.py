@@ -1,0 +1,126 @@
+"""Byte-compare the CLI reports of two source trees.
+
+    python tools/compare_reports.py SRC_A SRC_B
+
+SRC_A and SRC_B are checkouts of this repository (each with src/ybh).  Each
+tree writes the report set below in its own subprocess, into a fresh
+directory under one temporary directory; the two directories are then
+compared file by file.  Exit 0 when every file is byte-identical, 1 on any
+difference or when a side fails, 2 on bad arguments.
+
+The report set, for every fixture with d <= 4 over Q, F2 and F101:
+
+* construct, check and cohomology --degree 2 --basis;
+* deform --extend of every Z^2 basis cocycle;
+* deform --series of each cocycle's order-1 series, or of its order-2
+  series when the extension succeeds;
+* cohomology --degree 3 when d <= 3;
+
+plus selftest --trials 20 for primes 2 and 101, with and without
+--max-dim 2.  The exit code of every command goes to exit_codes.json, which
+is compared too.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+FIELDS = {"Q": ["--field", "q"],
+          "F2": ["--field", "prime", "--prime", "2"],
+          "F101": ["--field", "prime", "--prime", "101"]}
+
+
+def write_reports(out: Path, fixture_names=None, fields=FIELDS, selftest=True) -> dict:
+    """Write the report set of the ybh package on sys.path into out; return
+    {file name: exit code}.  fixture_names defaults to every fixture with
+    d <= 4."""
+    from ybh import cli, fixtures
+    from ybh.serialize import SCHEMA
+
+    out.mkdir(parents=True, exist_ok=True)
+    codes = {}
+
+    def run(name, *argv):
+        codes[name] = cli.main([*argv, "--out", str(out / name)])
+        path = out / name
+        return json.loads(path.read_text()) if path.exists() else None
+
+    def put(name, doc):
+        (out / name).write_text(json.dumps(doc, sort_keys=True))
+        return str(out / name)
+
+    for fx in fixture_names or fixtures.fixture_names(max_dim=4):
+        for tag, field_args in fields.items():
+            stem = f"{fx}-{tag}"
+            algebra = run(f"{stem}.algebra.json", "construct", "--fixture", fx, *field_args)
+            doc = str(out / f"{stem}.algebra.json")
+            run(f"{stem}.check.json", "check", doc)
+            report = run(f"{stem}.cohomology2.json", "cohomology", doc, "--degree", "2",
+                         "--basis")
+            if fixtures.FIXTURES[fx]["dim"] <= 3:
+                run(f"{stem}.cohomology3.json", "cohomology", doc, "--degree", "3")
+            for i, c in enumerate(report["z2_basis"] if report else []):
+                cocycle = put(f"{stem}.cocycle{i}.json", {"algebra": algebra, **c})
+                ext = run(f"{stem}.extend{i}.json", "deform", "--extend", cocycle)
+                phis, psis = [c["phi"]], [c["psi"]]
+                if ext and ext["ok"]:
+                    phis.append(ext["phi2"])
+                    psis.append(ext["psi2"])
+                series = put(f"{stem}.series{i}.json", {"schema": SCHEMA, "algebra": algebra,
+                                                        "phi_terms": phis, "psi_terms": psis})
+                run(f"{stem}.verify{i}.json", "deform", "--series", series)
+    if selftest:
+        for prime in ("2", "101"):
+            for extra in ([], ["--max-dim", "2"]):
+                run(f"selftest-p{prime}{'-max-dim2' if extra else ''}.json",
+                    "selftest", "--trials", "20", "--prime", prime, *extra)
+    put("exit_codes.json", codes)
+    return codes
+
+
+def diff_dirs(a: Path, b: Path) -> list:
+    """Names of the files that are not byte-identical in a and b, or that
+    only one of them has."""
+    names = sorted({p.name for p in a.iterdir()} | {p.name for p in b.iterdir()})
+    return [n for n in names
+            if not ((a / n).is_file() and (b / n).is_file()
+                    and (a / n).read_bytes() == (b / n).read_bytes())]
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print("usage: compare_reports.py SRC_A SRC_B", file=sys.stderr)
+        return 2
+    srcs = [Path(s).resolve() / "src" for s in argv]
+    for src in srcs:
+        if not (src / "ybh" / "cli.py").is_file():
+            print(f"no ybh package under {src}", file=sys.stderr)
+            return 2
+    root = Path(tempfile.mkdtemp(prefix="compare_reports-"))
+    outs = [root / "a", root / "b"]
+    here = str(Path(__file__).resolve().parent)
+    procs = []
+    for src, out in zip(srcs, outs):
+        code = (f"import sys; from pathlib import Path; sys.path[:0] = [{str(src)!r}, {here!r}]; "
+                f"import compare_reports; compare_reports.write_reports(Path({str(out)!r}))")
+        procs.append(subprocess.Popen([sys.executable, "-c", code]))
+    failed = [str(src.parent) for src, p in zip(srcs, procs) if p.wait() != 0]
+    if failed:
+        print(f"writing the reports failed for {', '.join(failed)}", file=sys.stderr)
+        return 1
+    differ = diff_dirs(*outs)
+    total = len({p.name for o in outs for p in o.iterdir()})
+    print(f"{total} files under {root}/a and {root}/b: "
+          + (f"{len(differ)} differ" if differ else "byte-identical"))
+    for name in differ:
+        print(f"  differs: {name}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
