@@ -16,10 +16,10 @@ import sys
 
 from . import fixtures
 from .braided import BraidedAlgebra
-from .cohomology import (MAX_DIM_DEGREE2, MAX_DIM_DEGREE3, ComplexSlice,
-                         YBH2Cochain, cochain2_sizes, cochain3_sizes,
-                         cocycle_basis, delta1, delta2, delta3, _guard,
-                         differential_matrix, h3_dimension)
+from .cohomology import (C1, C2, C3, MAX_DIM_DEGREE2, MAX_DIM_DEGREE3,
+                         ComplexSlice, YBH2Cochain, cocycle_basis, delta1,
+                         delta2, delta3, _guard, differential_matrix,
+                         h3_dimension)
 from .constructions import MCQ, FiniteGroup, from_heap, from_mcq, trivial_braiding
 from .deformation import (extend_to_quadratic, obstruction_is_cocycle,
                           verify_deformation)
@@ -28,7 +28,7 @@ from .hopf import HopfAlgebra, braided_frobenius, braided_from_hopf, group_hopf
 from .rng import SplitMix64
 from .scalars import FieldSpec, field_for
 from .serialize import (algebra_from_json, algebra_to_json, canonical_json,
-                        cochain2_from_json, digest, load_json,
+                        cochain2_from_json, cochain2_to_json, digest, load_json,
                         series_from_json, tensor_to_json)
 from .tensor import random_map
 
@@ -127,16 +127,16 @@ def cmd_cohomology(args) -> int:
     d1 = differential_matrix(obj, 1)
     d2m = differential_matrix(obj, 2)
     rank1, rank2 = d1.rank(), d2m.rank()
-    nphi, npsi = cochain2_sizes(obj.dim)
+    dim_c2 = C2.size(obj.dim)
     report = {"schema": "ybh/report/1", "command": "cohomology",
               "input_digest": digest(doc), "degree": args.degree,
               "dim": obj.dim,
-              "cochain_dims": {"c1": obj.dim ** 2, "c2": nphi + npsi,
-                               "c3": sum(cochain3_sizes(obj.dim))},
+              "cochain_dims": {"c1": C1.size(obj.dim), "c2": dim_c2,
+                               "c3": C3.size(obj.dim)},
               "rank_d1": rank1, "rank_d2": rank2,
-              "dim_z2": nphi + npsi - rank2,
+              "dim_z2": dim_c2 - rank2,
               "dim_b2": rank1,
-              "h2": nphi + npsi - rank2 - rank1}
+              "h2": dim_c2 - rank2 - rank1}
     if args.degree == 3:
         h3 = h3_dimension(obj, max_dim=max_dim)
         h3_shared = h3_dimension(obj, max_dim=max_dim, shared_targets=True)
@@ -145,8 +145,7 @@ def cmd_cohomology(args) -> int:
             report["h3_shared_targets"] = h3_shared
     if args.basis:
         basis = cocycle_basis(obj, max_dim=max_dim)
-        report["z2_basis"] = [{"phi": tensor_to_json(c.phi),
-                               "psi": tensor_to_json(c.psi)} for c in basis]
+        report["z2_basis"] = [cochain2_to_json(c) for c in basis]
     _emit(report, args)
     return _EXIT_PASS
 

@@ -1,11 +1,9 @@
 """The unified Yang-Baxter / Hochschild cochain complex through degree 3 -> 4.
 
-Cochain groups (coefficients in the braided algebra V itself):
-
-    C^1 = Hom(V, V)
-    C^2 = Hom(V^2, V^2) + Hom(V^2, V)                      (phi, psi)
-    C^3 = Hom(V^3, V^3) + Hom(V^3, V^2)_YI + Hom(V^3, V^2)_IY + Hom(V^3, V)
-                                                           (beta, a_yi, a_iy, gamma)
+Coefficients lie in the braided algebra V itself.  Each cochain group C^n is
+a direct sum of Hom(V^a, V^b) summands, written down once as a summand table
+(C1 .. C4 below); the cochain classes, the flatten layout, the sizes and
+offsets, and the matrix of every differential are read off those tables.
 
 The second differential is the linearization of the four structure axioms at
 (mu, R): the Yang-Baxter equation into the (3,3) summand, the YI and IY
@@ -21,28 +19,19 @@ delta2 is the hbar coefficient of the four axiom defects of
 (mu + hbar psi, R + hbar phi) over k[hbar]/(hbar^2) (delta2_oracle).
 
 Degree 3 -> 4 writes into eight private summands of C^4, one per coherence
-loop:
-
-    yb        Hom(V^4, V^4)   four-strand Yang-Baxter coherence
-    slide_yi  Hom(V^4, V^3)   a product sliding through a 3-strand braiding, YI side
-    slide_iy  Hom(V^4, V^3)   mirror of the above
-    assoc_yi  Hom(V^4, V^2)   a triple product crossing one strand, YI side
-    assoc_iy  Hom(V^4, V^2)   mirror
-    prod_yi   Hom(V^4, V^2)   a product crossing a product, YI-first orientation
-    prod_iy   Hom(V^4, V^2)   mirror
-    pentagon  Hom(V^4, V)     associativity pentagon
-
-Each degree-3 component is the linearization of a rewrite-loop identity: a
-cycle of axiom applications whose telescoping sum vanishes identically for
-arbitrary bilinear mu and arbitrary R (no axioms needed).  That identity is
-re-verified by the test suite on random non-braided data; it implies both
-the chain property d3 o d2 = 0 and the vanishing of d3 on every degree-2
-obstruction bundle.  The IY-side components are the YI-side ones conjugated
-by the tensor-reversal mirror.
+loop.  Each degree-3 component is the linearization of a rewrite-loop
+identity: a cycle of axiom applications whose telescoping sum vanishes
+identically for arbitrary bilinear mu and arbitrary R (no axioms needed).
+That identity is re-verified by the test suite on random non-braided data;
+it implies both the chain property d3 o d2 = 0 and the vanishing of d3 on
+every degree-2 obstruction bundle.  The IY-side components are the YI-side
+ones conjugated by the tensor-reversal mirror.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
 from dataclasses import dataclass
 
 from .braided import (BraidedAlgebra, assoc_defect, iy_defect, mirror_map,
@@ -51,82 +40,188 @@ from .errors import InputError, ResourceLimitError
 from .linalg import ExactMatrix
 from .scalars import TruncatedRing
 from .tensor import (TensorMap, compose, identity_map, truncated_from_parts,
-                     truncated_part, unflatten)
+                     truncated_part)
 
 MAX_DIM_DEGREE2 = 4
 MAX_DIM_DEGREE3 = 3
 
 
-# ---------------------------------------------------------------- cochain types
+# ---------------------------------------------------------------- cochain spaces
 
-@dataclass
-class YBH2Cochain:
-    phi: TensorMap  # (2 -> 2)
-    psi: TensorMap  # (2 -> 1)
+class Summands(tuple):
+    """An ordered direct sum of summands Hom(V^a, V^b), given as (name, a, b)
+    triples.  Its flatten layout stacks the summands' row-major grids
+    (TensorMap.flatten_sparse) in table order."""
+
+    def names(self) -> tuple:
+        return tuple(name for name, _, _ in self)
+
+    def sizes(self, d: int) -> tuple:
+        return tuple(d ** (a + b) for _, a, b in self)
+
+    def size(self, d: int) -> int:
+        return sum(self.sizes(d))
+
+    def offsets(self, d: int) -> dict:
+        """{name: flatten position of the summand's first grid cell}."""
+        return dict(zip(self.names(), accumulate(self.sizes(d), initial=0)))
+
+    def check(self, parts):
+        """Raise InputError unless parts are maps of the summands' arities,
+        all on the dimension of the first."""
+        d = parts[0].dim
+        for (name, a, b), t in zip(self, parts):
+            if (t.in_arity, t.out_arity, t.dim) != (a, b, d):
+                raise InputError(f"{name} must be a ({a}->{b}) map of dimension {d}, "
+                                 f"got ({t.in_arity}->{t.out_arity}) of dimension {t.dim}")
+
+    def unflatten(self, vec, field, d: int) -> tuple:
+        """The summand maps of a flattened vector, given as a dict
+        {position: scalar} or as a dense list."""
+        starts, total = list(self.offsets(d).values()), self.size(d)
+        if not isinstance(vec, dict):
+            if len(vec) != total:
+                raise InputError(f"cochain vector must have length {total}")
+            vec = dict(enumerate(vec))
+        entries = [[] for _ in self]
+        for pos, v in vec.items():
+            if not 0 <= pos < total:
+                raise InputError(f"position {pos} outside a cochain vector of length {total}")
+            if not field.is_zero(v):
+                i = bisect_right(starts, pos) - 1
+                row, col = divmod(pos - starts[i], d ** self[i][1])
+                entries[i].append((row, col, v))
+        return tuple(TensorMap.from_entries(field, d, a, b, e)
+                     for (_, a, b), e in zip(self, entries))
+
+    def matrix(self, field, d: int, op) -> ExactMatrix:
+        """Matrix of a linear operator on this space: column idx holds
+        op(*parts) of the idx-th basis cochain, a sequence of maps stacked
+        as flatten_parts stacks them."""
+        columns = []
+        for idx in range(self.size(d)):
+            out = op(*self.unflatten({idx: field.one}, field, d))
+            columns.append(flatten_parts(out))
+        return ExactMatrix.from_columns(field, sum(t.rows * t.cols for t in out), columns)
+
+
+def flatten_parts(parts) -> dict:
+    """Maps stacked in order, each linearized row-major: {position: scalar}."""
+    out, off = {}, 0
+    for t in parts:
+        for pos, v in t.flatten_sparse().items():
+            out[off + pos] = v
+        off += t.rows * t.cols
+    return out
+
+
+# The cochain groups.  C^2 carries (R, mu)-shaped summands, C^3 one summand
+# per structure axiom, C^4 one private summand per degree-3 coherence loop.
+C1 = Summands([("f", 1, 1)])
+C2 = Summands([("phi", 2, 2), ("psi", 2, 1)])
+C3 = Summands([
+    ("beta", 3, 3),      # Yang-Baxter equation
+    ("alpha_yi", 3, 2),  # YI mixed axiom
+    ("alpha_iy", 3, 2),  # IY mixed axiom
+    ("gamma", 3, 1),     # associativity
+])
+C4 = Summands([
+    ("yb", 4, 4),        # four-strand Yang-Baxter coherence
+    ("slide_yi", 4, 3),  # a product sliding through a 3-strand braiding, YI side
+    ("slide_iy", 4, 3),  # mirror of the above
+    ("assoc_yi", 4, 2),  # a triple product crossing one strand, YI side
+    ("assoc_iy", 4, 2),  # mirror
+    ("prod_yi", 4, 2),   # a product crossing a product, YI-first orientation
+    ("prod_iy", 4, 2),   # mirror
+    ("pentagon", 4, 1),  # associativity pentagon
+])
+C4_SUMMANDS = C4.names()
+
+
+class Cochain:
+    """Shared base of the cochain classes: one TensorMap per summand of the
+    class's SUMMANDS table, checked at construction and combined summand by
+    summand."""
+
+    SUMMANDS = Summands()
 
     def __post_init__(self):
-        if (self.phi.in_arity, self.phi.out_arity) != (2, 2):
-            raise InputError("phi must be a (2->2) map")
-        if (self.psi.in_arity, self.psi.out_arity) != (2, 1):
-            raise InputError("psi must be a (2->1) map")
-        if self.phi.dim != self.psi.dim:
-            raise InputError("phi and psi dimensions differ")
+        self.SUMMANDS.check(self.parts())
+
+    def parts(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.SUMMANDS.names())
+
+    @classmethod
+    def from_parts(cls, parts):
+        return cls(*parts)
 
     @property
-    def dim(self):
-        return self.phi.dim
+    def dim(self) -> int:
+        return self.parts()[0].dim
 
     def is_zero(self) -> bool:
-        return self.phi.is_zero() and self.psi.is_zero()
+        return all(t.is_zero() for t in self.parts())
 
     def __add__(self, other):
-        return YBH2Cochain(self.phi + other.phi, self.psi + other.psi)
+        return self.from_parts([a + b for a, b in zip(self.parts(), other.parts())])
 
     def __sub__(self, other):
-        return YBH2Cochain(self.phi - other.phi, self.psi - other.psi)
+        return self.from_parts([a - b for a, b in zip(self.parts(), other.parts())])
 
     def scale(self, s):
-        return YBH2Cochain(self.phi.scale(s), self.psi.scale(s))
+        return self.from_parts([t.scale(s) for t in self.parts()])
 
     def __eq__(self, other):
-        return self.phi == other.phi and self.psi == other.psi
-
-
-@dataclass
-class YBH3Cochain:
-    beta: TensorMap      # (3 -> 3)
-    alpha_yi: TensorMap  # (3 -> 2), YI-axiom-shaped summand
-    alpha_iy: TensorMap  # (3 -> 2), IY-axiom-shaped summand
-    gamma: TensorMap     # (3 -> 1)
-
-    def parts(self):
-        return (self.beta, self.alpha_yi, self.alpha_iy, self.gamma)
-
-    def is_zero(self) -> bool:
-        return all(t.is_zero() for t in self.parts())
-
-    def __sub__(self, other):
-        return YBH3Cochain(*[a - b for a, b in zip(self.parts(), other.parts())])
-
-    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         return all(a == b for a, b in zip(self.parts(), other.parts()))
 
+    def flatten(self) -> dict:
+        return flatten_parts(self.parts())
 
-C4_SUMMANDS = ("yb", "slide_yi", "slide_iy", "assoc_yi", "assoc_iy",
-               "prod_yi", "prod_iy", "pentagon")
-_C4_OUT_ARITY = {"yb": 4, "slide_yi": 3, "slide_iy": 3, "assoc_yi": 2,
-                 "assoc_iy": 2, "prod_yi": 2, "prod_iy": 2, "pentagon": 1}
+    @classmethod
+    def unflatten(cls, vec, field, d: int):
+        return cls.from_parts(cls.SUMMANDS.unflatten(vec, field, d))
 
 
-@dataclass
-class YBH4Cochain:
+@dataclass(eq=False)
+class YBH2Cochain(Cochain):
+    SUMMANDS = C2
+    phi: TensorMap
+    psi: TensorMap
+
+
+@dataclass(eq=False)
+class YBH3Cochain(Cochain):
+    SUMMANDS = C3
+    beta: TensorMap
+    alpha_yi: TensorMap
+    alpha_iy: TensorMap
+    gamma: TensorMap
+
+
+@dataclass(eq=False)
+class YBH4Cochain(Cochain):
+    SUMMANDS = C4
     components: dict  # name -> TensorMap, keys exactly C4_SUMMANDS
 
-    def parts(self):
+    def __post_init__(self):
+        if set(self.components) != set(C4_SUMMANDS):
+            raise InputError(f"C^4 components must be exactly {list(C4_SUMMANDS)}, "
+                             f"got {list(self.components)}")
+        super().__post_init__()
+
+    def parts(self) -> tuple:
         return tuple(self.components[name] for name in C4_SUMMANDS)
 
-    def is_zero(self) -> bool:
-        return all(t.is_zero() for t in self.parts())
+    @classmethod
+    def from_parts(cls, parts):
+        return cls(dict(zip(C4_SUMMANDS, parts)))
+
+
+cochain2_sizes, cochain3_sizes, cochain4_size = C2.sizes, C3.sizes, C4.size
+flatten2 = flatten3 = Cochain.flatten
+unflatten2, unflatten3 = YBH2Cochain.unflatten, YBH3Cochain.unflatten
 
 
 # ---------------------------------------------------------------- helpers
@@ -399,109 +494,26 @@ def delta3(b: BraidedAlgebra, c: YBH3Cochain) -> YBH4Cochain:
     return YBH4Cochain(delta3_components(b.mu, b.r, c))
 
 
-# ---------------------------------------------------------------- flattening
-
-def cochain2_sizes(d: int) -> tuple:
-    return (d ** 4, d ** 3)
-
-
-def cochain3_sizes(d: int) -> tuple:
-    return (d ** 6, d ** 5, d ** 5, d ** 4)
-
-
-def flatten2(c: YBH2Cochain) -> dict:
-    out = dict(c.phi.flatten_sparse())
-    off = c.phi.rows * c.phi.cols
-    for pos, v in c.psi.flatten_sparse().items():
-        out[off + pos] = v
-    return out
-
-
-def unflatten2(vec, field, d: int) -> YBH2Cochain:
-    nphi, npsi = cochain2_sizes(d)
-    if isinstance(vec, dict):
-        phi_part = {p: v for p, v in vec.items() if p < nphi}
-        psi_part = {p - nphi: v for p, v in vec.items() if p >= nphi}
-    else:
-        if len(vec) != nphi + npsi:
-            raise InputError(f"degree-2 vector must have length {nphi + npsi}")
-        phi_part, psi_part = vec[:nphi], vec[nphi:]
-    return YBH2Cochain(phi=unflatten(phi_part, field, d, 2, 2),
-                       psi=unflatten(psi_part, field, d, 2, 1))
-
-
-def flatten3(c: YBH3Cochain) -> dict:
-    out = {}
-    off = 0
-    for t in c.parts():
-        for pos, v in t.flatten_sparse().items():
-            out[off + pos] = v
-        off += t.rows * t.cols
-    return out
-
-
-def unflatten3(vec, field, d: int) -> YBH3Cochain:
-    sizes = cochain3_sizes(d)
-    arities = [(3, 3), (3, 2), (3, 2), (3, 1)]
-    if not isinstance(vec, dict):
-        if len(vec) != sum(sizes):
-            raise InputError(f"degree-3 vector must have length {sum(sizes)}")
-        vec = {p: v for p, v in enumerate(vec) if not field.is_zero(v)}
-    parts = []
-    off = 0
-    for size, (n, k) in zip(sizes, arities):
-        chunk = {p - off: v for p, v in vec.items() if off <= p < off + size}
-        parts.append(unflatten(chunk, field, d, n, k))
-        off += size
-    return YBH3Cochain(*parts)
-
-
-def flatten4(c: YBH4Cochain) -> dict:
-    out = {}
-    off = 0
-    for t in c.parts():
-        for pos, v in t.flatten_sparse().items():
-            out[off + pos] = v
-        off += t.rows * t.cols
-    return out
-
-
-def cochain4_size(d: int) -> int:
-    return sum(d ** (4 + _C4_OUT_ARITY[name]) for name in C4_SUMMANDS)
-
-
 # ---------------------------------------------------------------- matrices
+
+# The source space of delta1, delta2, delta3 and the argument built from its parts.
+_DELTA_SOURCES = {1: (C1, lambda f: f), 2: (C2, YBH2Cochain), 3: (C3, YBH3Cochain)}
+
 
 def differential_matrix(b: BraidedAlgebra, degree: int) -> ExactMatrix:
     """Matrix of delta1, delta2 or delta3 (private targets) in the flatten
     bases: the operator applied to each basis cochain, one column each.
     Cached on the algebra object (write-once; the structure maps are
     immutable)."""
-    cache = getattr(b, "_matrix_cache", None)
-    if cache is None:
-        cache = {}
-        b._matrix_cache = cache
-    if degree in cache:
-        return cache[degree]
-    cache[degree] = _differential_matrix_uncached(b, degree)
+    if degree not in _DELTA_SOURCES:
+        raise InputError("differential_matrix supports degrees 1, 2 and 3")
+    cache = vars(b).setdefault("_matrix_cache", {})
+    if degree not in cache:
+        source, argument = _DELTA_SOURCES[degree]
+        delta = (delta1, delta2, delta3)[degree - 1]  # per call: a patched delta applies
+        cache[degree] = source.matrix(b.field, b.dim,
+                                      lambda *parts: delta(b, argument(*parts)).parts())
     return cache[degree]
-
-
-def _differential_matrix_uncached(b: BraidedAlgebra, degree: int) -> ExactMatrix:
-    field, d = b.field, b.dim
-    if degree == 1:
-        columns = [flatten2(delta1(b, unflatten({idx: field.one}, field, d, 1, 1)))
-                   for idx in range(d * d)]
-        return ExactMatrix.from_columns(field, sum(cochain2_sizes(d)), columns)
-    if degree == 2:
-        columns = [flatten3(delta2(b, unflatten2({idx: field.one}, field, d)))
-                   for idx in range(sum(cochain2_sizes(d)))]
-        return ExactMatrix.from_columns(field, sum(cochain3_sizes(d)), columns)
-    if degree == 3:
-        columns = [flatten4(delta3(b, unflatten3({idx: field.one}, field, d)))
-                   for idx in range(sum(cochain3_sizes(d)))]
-        return ExactMatrix.from_columns(field, cochain4_size(d), columns)
-    raise InputError("differential_matrix supports degrees 1, 2 and 3")
 
 
 def _guard(d: int, max_dim: int | None, default: int, what: str):
@@ -518,7 +530,7 @@ def cocycle_basis(b: BraidedAlgebra, max_dim: int | None = None) -> list:
     """Basis of Z^2 = ker(delta^2) as YBH2Cochain objects."""
     _guard(b.dim, max_dim, MAX_DIM_DEGREE2, "degree-2 cocycle basis")
     d2 = differential_matrix(b, 2)
-    return [unflatten2(v, b.field, b.dim) for v in d2.kernel_basis()]
+    return [YBH2Cochain.unflatten(v, b.field, b.dim) for v in d2.kernel_basis()]
 
 
 def coboundary_basis(b: BraidedAlgebra, max_dim: int | None = None) -> list:
@@ -528,7 +540,7 @@ def coboundary_basis(b: BraidedAlgebra, max_dim: int | None = None) -> list:
     _guard(b.dim, max_dim, MAX_DIM_DEGREE2, "degree-2 coboundary basis")
     d1 = differential_matrix(b, 1)
     _, pivots, _ = d1.rref()
-    return [unflatten2(d1.column(c), b.field, b.dim) for c in pivots]
+    return [YBH2Cochain.unflatten(d1.column(c), b.field, b.dim) for c in pivots]
 
 
 def cohomology_dimension(b: BraidedAlgebra, degree: int = 2,
@@ -538,14 +550,18 @@ def cohomology_dimension(b: BraidedAlgebra, degree: int = 2,
     _guard(b.dim, max_dim, MAX_DIM_DEGREE2, "degree-2 cohomology")
     d1 = differential_matrix(b, 1)
     d2 = differential_matrix(b, 2)
-    dim_z2 = sum(cochain2_sizes(b.dim)) - d2.rank()
-    return dim_z2 - d1.rank()
+    return (d2.cols - d2.rank()) - d1.rank()
 
 
 def shared_target_matrix(d3: ExactMatrix, d: int) -> ExactMatrix:
     """D3 with the (4,2) row blocks merged in YI/IY pairs: prod_yi rows add
-    into assoc_yi, prod_iy rows into assoc_iy, and pentagon moves up."""
-    first_prod, shift = d ** 8 + 2 * d ** 7 + 2 * d ** 6, 2 * d ** 6
+    into assoc_yi, prod_iy rows into assoc_iy, and pentagon moves up.  The
+    blocks run assoc_yi, assoc_iy, prod_yi, prod_iy, pentagon, so moving
+    every row from prod_yi on up by the span of the two assoc blocks does
+    all three."""
+    offsets = C4.offsets(d)
+    first_prod = offsets["prod_yi"]
+    shift = first_prod - offsets["assoc_yi"]
     return ExactMatrix.from_entries(
         d3.field, d3.rows - shift, d3.cols,
         ((r if r < first_prod else r - shift, c, v) for r, c, v in d3.entries()))
@@ -600,7 +616,7 @@ class ComplexSlice:
         if check_d3:
             for idx in range(d2.cols):
                 col = d2.column(idx)
-                c3 = unflatten3(col, b.field, b.dim)
+                c3 = YBH3Cochain.unflatten(col, b.field, b.dim)
                 if not delta3(b, c3).is_zero():
                     raise InputError("chain identity D3 o D2 = 0 fails")
         return cls(b, d1, d2)

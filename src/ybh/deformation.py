@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .braided import (BraidedAlgebra, assoc_defect, iy_defect, yb_defect,
                       yi_defect)
 from .cohomology import (YBH2Cochain, YBH3Cochain, delta1, delta2, delta3,
-                         differential_matrix, flatten3, unflatten2)
+                         differential_matrix)
 from .errors import InputError, InternalCheckError
 from .linalg import SolveCertificate
 from .scalars import TruncatedRing
@@ -232,11 +232,11 @@ def extend_to_quadratic(b: BraidedAlgebra, c: YBH2Cochain) -> QuadraticExtension
         raise InputError("extend_to_quadratic needs a 2-cocycle")
     bundle = obstruction_bundle(series_from_cocycle(b, c), 2)
     d2 = differential_matrix(b, 2)
-    rhs = {pos: b.field.neg(v) for pos, v in flatten3(bundle.as_cochain3()).items()}
+    rhs = {pos: b.field.neg(v) for pos, v in bundle.as_cochain3().flatten().items()}
     sol = d2.solve(rhs)
     if isinstance(sol, SolveCertificate):
         return QuadraticExtension(False, certificate=sol, bundle=bundle)
-    c2 = unflatten2(sol, b.field, b.dim)
+    c2 = YBH2Cochain.unflatten(sol, b.field, b.dim)
     series = DeformationSeries(b, [c.phi, c2.phi], [c.psi, c2.psi])
     report = verify_deformation(series)
     if not report.ok:

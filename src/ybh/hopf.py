@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 from .braided import (BraidedAlgebra, _check, assert_braided, assoc_defect,
                       braided_algebra)
-from .cohomology import YBH2Cochain, delta2 as ybh_delta2, hochschild_differential
+from .cohomology import (Cochain, Summands, YBH2Cochain, delta2 as ybh_delta2,
+                         hochschild_differential)
 from .constructions import FiniteGroup, dual_numbers
 from .errors import InputError, InternalCheckError, ValidationError
 from .linalg import ExactMatrix
@@ -247,10 +248,12 @@ def braided_frobenius(h: HopfAlgebra) -> BraidedAlgebra:
 
 # ---------------------------------------------------------------- Hopf 2-cocycles
 
-@dataclass
-class HopfTwoCochain:
-    xi: TensorMap    # (2 -> 1), deforms mu
-    zeta: TensorMap  # (1 -> 2), deforms Delta
+@dataclass(eq=False)
+class HopfTwoCochain(Cochain):
+    SUMMANDS = Summands([("xi", 2, 1),     # deforms mu
+                         ("zeta", 1, 2)])  # deforms Delta
+    xi: TensorMap
+    zeta: TensorMap
 
 
 def hopf_coboundary(h: HopfAlgebra, f: TensorMap) -> HopfTwoCochain:
@@ -300,13 +303,15 @@ def is_hopf_2cocycle(h: HopfAlgebra, c: HopfTwoCochain) -> bool:
     return all(res.ok for res in check_hopf_2cocycle(h, c))
 
 
+def _normalization_defects(h: HopfAlgebra, c: HopfTwoCochain) -> list:
+    one = identity_map(h.field, h.dim, 1)
+    return [compose(c.xi, h.eta.tensor(one)), compose(c.xi, one.tensor(h.eta)),
+            compose(one.tensor(h.epsilon), c.zeta), compose(h.epsilon.tensor(one), c.zeta)]
+
+
 def check_normalized(h: HopfAlgebra, c: HopfTwoCochain) -> bool:
     """xi(1 ox x) = xi(x ox 1) = 0 and (1 ox eps) zeta = (eps ox 1) zeta = 0."""
-    one = identity_map(h.field, h.dim, 1)
-    return (compose(c.xi, h.eta.tensor(one)).is_zero()
-            and compose(c.xi, one.tensor(h.eta)).is_zero()
-            and compose(one.tensor(h.epsilon), c.zeta).is_zero()
-            and compose(h.epsilon.tensor(one), c.zeta).is_zero())
+    return all(t.is_zero() for t in _normalization_defects(h, c))
 
 
 def antipode_correction(h: HopfAlgebra, c: HopfTwoCochain) -> TensorMap:
@@ -376,42 +381,10 @@ def normalized_cocycle_basis(h: HopfAlgebra) -> list:
     and the kernel is returned as HopfTwoCochain objects.
     """
     h.require()
-    f, d = h.field, h.dim
-    nxi = d ** 3   # (2 -> 1) grid cells
-    nzeta = d ** 3  # (1 -> 2) grid cells
-    one = identity_map(f, d, 1)
 
-    def conditions(c: HopfTwoCochain) -> list:
-        defects = [defect for _, defect in _cocycle_defects(h, c)]
-        defects.append(compose(c.xi, h.eta.tensor(one)))
-        defects.append(compose(c.xi, one.tensor(h.eta)))
-        defects.append(compose(one.tensor(h.epsilon), c.zeta))
-        defects.append(compose(h.epsilon.tensor(one), c.zeta))
-        out = []
-        for t in defects:
-            out.extend(t.flatten())
-        return out
+    def conditions(xi: TensorMap, zeta: TensorMap) -> list:
+        c = HopfTwoCochain(xi, zeta)
+        return [defect for _, defect in _cocycle_defects(h, c)] + _normalization_defects(h, c)
 
-    zero_xi = TensorMap.zero(f, d, 2, 1)
-    zero_zeta = TensorMap.zero(f, d, 1, 2)
-    columns = []
-    for pos in range(nxi):
-        xi = TensorMap.from_entries(f, d, 2, 1, [(pos // (d * d), pos % (d * d), f.one)])
-        columns.append(conditions(HopfTwoCochain(xi, zero_zeta)))
-    for pos in range(nzeta):
-        zeta = TensorMap.from_entries(f, d, 1, 2, [(pos // d, pos % d, f.one)])
-        columns.append(conditions(HopfTwoCochain(zero_xi, zeta)))
-    nrows = len(columns[0])
-    m = ExactMatrix.from_columns(f, nrows, columns)
-    out = []
-    for v in m.kernel_basis():
-        xi = TensorMap.from_entries(
-            f, d, 2, 1,
-            ((pos // (d * d), pos % (d * d), v[pos]) for pos in range(nxi)
-             if not f.is_zero(v[pos])))
-        zeta = TensorMap.from_entries(
-            f, d, 1, 2,
-            ((pos // d, pos % d, v[nxi + pos]) for pos in range(nzeta)
-             if not f.is_zero(v[nxi + pos])))
-        out.append(HopfTwoCochain(xi, zeta))
-    return out
+    m = HopfTwoCochain.SUMMANDS.matrix(h.field, h.dim, conditions)
+    return [HopfTwoCochain.unflatten(v, h.field, h.dim) for v in m.kernel_basis()]

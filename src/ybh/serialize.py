@@ -178,14 +178,14 @@ def load_algebra(path: str):
 # ---------------------------------------------------------------- cochains and series
 
 def cochain2_to_json(c) -> dict:
-    return {"phi": tensor_to_json(c.phi), "psi": tensor_to_json(c.psi)}
+    return {name: tensor_to_json(t) for name, t in zip(c.SUMMANDS.names(), c.parts())}
 
 
 def cochain2_from_json(obj: dict, field):
     from .cohomology import YBH2Cochain
     try:
-        return YBH2Cochain(phi=tensor_from_json(obj["phi"], field, (2, 2)),
-                           psi=tensor_from_json(obj["psi"], field, (2, 1)))
+        return YBH2Cochain(*(tensor_from_json(obj[name], field, (a, b))
+                             for name, a, b in YBH2Cochain.SUMMANDS))
     except KeyError as exc:
         raise InputError(f"cochain document missing {exc}")
 

@@ -200,7 +200,7 @@ class TensorMap:
     # ------------------------------------------------------------------ compatibility
 
     def _require_same_ring(self, other: "TensorMap", what: str):
-        if _ring_key(self.field) != _ring_key(other.field):
+        if self.field is not other.field and _ring_key(self.field) != _ring_key(other.field):
             raise InputError(f"{what}: mismatched coefficient rings")
         if self.dim != other.dim:
             raise InputError(f"{what}: dimension mismatch {self.dim} vs {other.dim}")
@@ -438,21 +438,25 @@ class TensorMap:
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) mod p for int64 residue matrices with entries in [0, p).
+    """(a @ b) mod p for int64 residue matrices with entries in [0, p), p < 2^31.
 
-    The inner dimension is cut into blocks, each reduced before it is added.
-    While (p-1)^2 < 2^53 the blocks run in float64 (BLAS) and hold at most
-    2^53 // (p-1)^2 inner columns, so every partial sum is an integer of at
-    most 2^53 and exact; larger primes (p < 2^31) run in int64 with at most
-    2^62 // (p-1)^2 inner columns per block."""
-    sq = (p - 1) * (p - 1)
-    if sq < 1 << 53:
-        a, b, step = a.astype(np.float64), b.astype(np.float64), (1 << 53) // sq
-    else:
-        step = (1 << 62) // sq
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for lo in range(0, a.shape[1], step):
-        out = (out + (a[:, lo:lo + step] @ b[lo:lo + step]).astype(np.int64, copy=False)) % p
+    Runs in float64 (BLAS).  The left operand is one limb while (p-1)^2 <
+    2^53 and otherwise splits into 16-bit limbs, a = sum_s 2^s a_s.  Each
+    limb product cuts the inner dimension into blocks of at most
+    2^53 // (limb bound * (p-1)) columns, reduced before they are added, so
+    every partial sum is an integer of at most 2^53 and exact."""
+    bits = (p - 1).bit_length()
+    width = bits if (p - 1) ** 2 < 1 << 53 else 16
+    mask = (1 << width) - 1
+    step = (1 << 53) // (min(mask, p - 1) * (p - 1))
+    b = b.astype(np.float64)
+    for shift in range(0, bits, width):
+        limb = (a if width == bits else (a >> shift) & mask).astype(np.float64)
+        part = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+        for lo in range(0, a.shape[1], step):
+            block = limb[:, lo:lo + step] @ b[lo:lo + step]
+            part = (part + block.astype(np.int64, copy=False)) % p
+        out = part if shift == 0 else (out + part * pow(2, shift, p)) % p
     return out
 
 
@@ -468,16 +472,21 @@ def compose(f: TensorMap, *rest: TensorMap) -> TensorMap:
     """compose(f, g, h, ...) = f o g o h o ... (rightmost applied first).
 
     Starts from the factor with the fewest stored columns, absorbs every
-    factor to its left, then every factor to its right."""
+    factor to its left, then every factor to its right.  Each pairwise
+    product checks its operands; on a failure the chain is re-checked left
+    to right, so the error names the first bad pair."""
     maps = (f,) + rest
-    for i in range(1, len(maps)):
-        maps[i - 1]._require_composable(maps[i], f.out_arity)
     start = min(range(len(maps)), key=lambda i: maps[i]._stored_cols())
     out = maps[start]
-    for g in reversed(maps[:start]):
-        out = g.compose(out)
-    for g in maps[start + 1:]:
-        out = out.compose(g)
+    try:
+        for g in reversed(maps[:start]):
+            out = g.compose(out)
+        for g in maps[start + 1:]:
+            out = out.compose(g)
+    except InputError:
+        for i in range(1, len(maps)):
+            maps[i - 1]._require_composable(maps[i], f.out_arity)
+        raise
     return out
 
 

@@ -419,3 +419,90 @@ def test_complex_slice_builds_and_checks():
         b = build_fixture(name, GF(3))
         slice_ = ComplexSlice.build(b, check_d3=True)
         assert slice_.d2.matmul(slice_.d1).is_zero()
+
+
+# ---------------------------------------------------------------- summand tables
+
+def _cochain_classes():
+    from ybh.cohomology import YBH4Cochain
+    from ybh.hopf import HopfTwoCochain
+    return [YBH2Cochain, YBH3Cochain, YBH4Cochain, HopfTwoCochain]
+
+
+def _random_sparse_cochain(cls, field, d, rng):
+    parts = []
+    for _, a, b in cls.SUMMANDS:
+        entries = [(rng.randrange(d ** b), rng.randrange(d ** a), field.random(rng, 3))
+                   for _ in range(3)]
+        parts.append(TensorMap.from_entries(field, d, a, b, entries))
+    return cls.from_parts(parts)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_every_cochain_space_round_trips_through_its_layout(field, d):
+    rng = SplitMix64(50 + d)
+    for cls in _cochain_classes():
+        c = _random_sparse_cochain(cls, field, d, rng)
+        flat = c.flatten()
+        assert cls.unflatten(flat, field, d) == c, cls.__name__
+        dense = [field.zero] * cls.SUMMANDS.size(d)
+        for pos, v in flat.items():
+            dense[pos] = v
+        assert cls.unflatten(dense, field, d) == c, cls.__name__
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_derived_sizes_and_offsets_equal_the_closed_forms(d):
+    from ybh.cohomology import C1, C2, C3, C4
+    assert cochain2_sizes(d) == (d ** 4, d ** 3)
+    assert cochain3_sizes(d) == (d ** 6, d ** 5, d ** 5, d ** 4)
+    assert cochain4_size(d) == d ** 8 + 2 * d ** 7 + 4 * d ** 6 + d ** 5
+    assert (C1.size(d), C2.size(d), C3.size(d)) == (
+        d ** 2, d ** 4 + d ** 3, d ** 6 + 2 * d ** 5 + d ** 4)
+    offsets = C4.offsets(d)
+    assert offsets["prod_yi"] == d ** 8 + 2 * d ** 7 + 2 * d ** 6
+    assert offsets["prod_yi"] - offsets["assoc_yi"] == 2 * d ** 6
+    assert offsets["pentagon"] == cochain4_size(d) - d ** 5
+
+
+@pytest.mark.parametrize("name", ["z2_adjoint", "z3_adjoint"])
+def test_cli_cochain_dims_equal_the_closed_forms(tmp_path, capsys, name):
+    import json
+    b = build_fixture(name, QQ)
+    path = tmp_path / f"{name}.json"
+    path.write_text(canonical_json(algebra_to_json(b)))
+    assert main(["cohomology", str(path)]) == 0
+    d = b.dim
+    assert json.loads(capsys.readouterr().out)["cochain_dims"] == {
+        "c1": d ** 2, "c2": d ** 4 + d ** 3, "c3": d ** 6 + 2 * d ** 5 + d ** 4}
+
+
+def test_every_cochain_class_validates_its_summands():
+    from ybh.cohomology import C4_SUMMANDS, YBH4Cochain
+    from ybh.hopf import HopfTwoCochain
+
+    def zero(a, b, d=2):
+        return TensorMap.zero(QQ, d, a, b)
+
+    m = zero(2, 2)
+    bad = [
+        lambda: YBH2Cochain(m, m),                                 # psi not (2->1)
+        lambda: YBH2Cochain(m, zero(2, 1, d=3)),                   # dimension mismatch
+        lambda: YBH3Cochain(m, m, m, m),                           # four (2->2) maps
+        lambda: YBH3Cochain(zero(3, 3), zero(3, 2), zero(3, 2, d=3), zero(3, 1)),
+        lambda: HopfTwoCochain(zero(1, 2), zero(2, 1)),            # xi and zeta swapped
+        lambda: HopfTwoCochain(zero(2, 1), zero(1, 2, d=3)),
+    ]
+    good = {name: zero(4, b) for name, _, b in YBH4Cochain.SUMMANDS}
+    YBH4Cochain(good)
+    bad += [
+        lambda: YBH4Cochain(dict(good, yb=zero(4, 3))),            # wrong arity
+        lambda: YBH4Cochain(dict(good, pentagon=zero(4, 1, d=3))),
+        lambda: YBH4Cochain({n: good[n] for n in C4_SUMMANDS[1:]}),  # missing yb
+        lambda: YBH4Cochain(dict(good, extra=zero(4, 1))),
+    ]
+    for i, make in enumerate(bad):
+        with pytest.raises(InputError):
+            make()
+            pytest.fail(f"case {i} was accepted")

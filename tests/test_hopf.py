@@ -261,3 +261,16 @@ def test_psi_map_rejects_non_cocycles():
     bad = HopfTwoCochain(h.mu, TensorMap.zero(QQ, 2, 1, 2))
     with pytest.raises(InputError):
         psi_map(h, bad)
+
+
+@pytest.mark.parametrize("h,expected", [
+    (lambda: group_hopf(FiniteGroup.cyclic(2), QQ), 1),
+    (lambda: group_hopf(FiniteGroup.cyclic(2), GF(2)), 1),
+    (lambda: group_hopf(FiniteGroup.cyclic(3), GF(3)), 4),
+    (lambda: dual_numbers_hopf(GF(2)), 2),
+], ids=["kZ2-Q", "kZ2-F2", "kZ3-F3", "dual-F2"])
+def test_normalized_cocycle_basis_sizes(h, expected):
+    hopf = h()
+    basis = normalized_cocycle_basis(hopf)
+    assert len(basis) == expected
+    assert all(is_hopf_2cocycle(hopf, c) and check_normalized(hopf, c) for c in basis)

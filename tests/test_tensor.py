@@ -357,8 +357,8 @@ def _is_prime(n):
     return n > 1 and all(n % q for q in range(2, int(n ** 0.5) + 1))
 
 
-# 94906249 is the largest prime with (p-1)^2 < 2^53 (float64 blocks),
-# 94906297 the smallest above it (int64 blocks).
+# 94906249 is the largest prime with (p-1)^2 < 2^53 (one limb), 94906297
+# the smallest above it (16-bit limbs).
 @pytest.mark.parametrize("p", [2, 101, 65521, 94906249, 94906297, 2 ** 31 - 1])
 def test_matmul_mod_matches_integer_oracle(p):
     assert _is_prime(p)
@@ -371,3 +371,25 @@ def test_matmul_mod_matches_integer_oracle(p):
                     for row in a]
             got = _matmul_mod(a, b, p)
             assert got.dtype == np.int64 and got.tolist() == want
+
+
+def test_compose_checks_each_product_once(monkeypatch):
+    import ybh.tensor
+    checks, keys = [], []
+    require, ring_key = TensorMap._require_composable, ybh.tensor._ring_key
+
+    def counting_require(self, other, out_arity):
+        checks.append(1)
+        return require(self, other, out_arity)
+
+    def counting_key(ring):
+        keys.append(1)
+        return ring_key(ring)
+
+    monkeypatch.setattr(TensorMap, "_require_composable", counting_require)
+    monkeypatch.setattr(ybh.tensor, "_ring_key", counting_key)
+    rng = SplitMix64(46)
+    f, g, h = (random_map(QQ, 2, 2, 2, rng, span=3) for _ in range(3))
+    compose(f, g, h)
+    assert len(checks) == 2  # one check per pairwise product
+    assert keys == []        # one ring object: compared by identity
