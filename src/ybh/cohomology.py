@@ -39,8 +39,8 @@ from .braided import (BraidedAlgebra, assoc_defect, iy_defect, mirror_map,
 from .errors import InputError, ResourceLimitError
 from .linalg import ExactMatrix
 from .scalars import TruncatedRing
-from .tensor import (TensorMap, compose, identity_map, truncated_from_parts,
-                     truncated_part)
+from .tensor import (TensorMap, compose, identity_map, same_ring,
+                     truncated_from_parts, truncated_part)
 
 MAX_DIM_DEGREE2 = 4
 MAX_DIM_DEGREE3 = 3
@@ -68,12 +68,15 @@ class Summands(tuple):
 
     def check(self, parts):
         """Raise InputError unless parts are maps of the summands' arities,
-        all on the dimension of the first."""
-        d = parts[0].dim
+        all on the dimension and over the coefficient ring of the first."""
+        d, ring = parts[0].dim, parts[0].field
         for (name, a, b), t in zip(self, parts):
             if (t.in_arity, t.out_arity, t.dim) != (a, b, d):
                 raise InputError(f"{name} must be a ({a}->{b}) map of dimension {d}, "
                                  f"got ({t.in_arity}->{t.out_arity}) of dimension {t.dim}")
+            if not same_ring(t.field, ring):
+                raise InputError(f"{name} is over the ring {t.field!r}, "
+                                 f"the first summand over {ring!r}")
 
     def unflatten(self, vec, field, d: int) -> tuple:
         """The summand maps of a flattened vector, given as a dict

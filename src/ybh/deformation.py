@@ -18,15 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braided import (BraidedAlgebra, assoc_defect, iy_defect, yb_defect,
-                      yi_defect)
+from .braided import (BraidedAlgebra, _witness, assoc_defect, iy_defect,
+                      yb_defect, yi_defect)
 from .cohomology import (YBH2Cochain, YBH3Cochain, delta1, delta2, delta3,
                          differential_matrix)
 from .errors import InputError, InternalCheckError
 from .linalg import SolveCertificate
 from .scalars import TruncatedRing
-from .tensor import (TensorMap, compose, decode_index, identity_map,
-                     truncated_from_parts, truncated_part)
+from .tensor import (TensorMap, compose, identity_map, truncated_from_parts,
+                     truncated_part)
 
 
 @dataclass
@@ -89,14 +89,10 @@ class DeformationReport:
 
 
 def _first_failure(name: str, defect: TensorMap) -> DeformationReport | None:
-    ring = defect.field
-    for j in range(ring.order):
-        part = truncated_part(defect, j)
-        data = part.to_sparse_data()
-        if data:
-            col = min(data)
-            return DeformationReport(False, name, j,
-                                     decode_index(col, part.dim, part.in_arity))
+    for j in range(defect.field.order):
+        witness = _witness(truncated_part(defect, j))
+        if witness is not None:
+            return DeformationReport(False, name, j, witness)
     return None
 
 
@@ -133,20 +129,12 @@ def _truncated_inverse(r_t: TensorMap, r0_inv: TensorMap, ring) -> TensorMap:
 
 # ---------------------------------------------------------------- obstruction bundles
 
-@dataclass
-class ObstructionBundle:
-    theta: TensorMap               # (3 -> 3)
-    xi_minus_omega_yi: TensorMap   # (3 -> 2)
-    xi_minus_omega_iy: TensorMap   # (3 -> 2)
-    lam: TensorMap                 # (3 -> 1)
-    degree: int
+class ObstructionBundle(YBH3Cochain):
+    """A degree-r obstruction bundle: the C^3 cochain (theta, xi - omega_YI,
+    xi - omega_IY, lambda) in the fields beta, alpha_yi, alpha_iy, gamma."""
 
     def as_cochain3(self) -> YBH3Cochain:
-        return YBH3Cochain(beta=self.theta, alpha_yi=self.xi_minus_omega_yi,
-                           alpha_iy=self.xi_minus_omega_iy, gamma=self.lam)
-
-    def is_zero(self) -> bool:
-        return self.as_cochain3().is_zero()
+        return YBH3Cochain(*self.parts())
 
 
 def gamma_indices(r: int) -> list:
@@ -182,7 +170,7 @@ def obstruction_bundle(s: DeformationSeries, r: int) -> ObstructionBundle:
         omega_iy = omega_iy + compose(s.phi(p), s.psi(q).tensor(one))
         lam = lam + compose(s.psi(p), s.psi(q).tensor(one)) \
             - compose(s.psi(p), one.tensor(s.psi(q)))
-    return ObstructionBundle(theta, xi_yi - omega_yi, xi_iy - omega_iy, lam, degree=r)
+    return ObstructionBundle(theta, xi_yi - omega_yi, xi_iy - omega_iy, lam)
 
 
 def obstruction_bundle_oracle(s: DeformationSeries, r: int) -> ObstructionBundle:
@@ -192,11 +180,10 @@ def obstruction_bundle_oracle(s: DeformationSeries, r: int) -> ObstructionBundle
         raise InputError("obstruction bundles start at degree 2")
     mu_t, r_t, _ = s.truncate(min(s.order, r - 1)).truncated_maps(r + 1)
     return ObstructionBundle(
-        theta=truncated_part(yb_defect(r_t), r),
-        xi_minus_omega_yi=truncated_part(yi_defect(mu_t, r_t), r),
-        xi_minus_omega_iy=truncated_part(iy_defect(mu_t, r_t), r),
-        lam=truncated_part(assoc_defect(mu_t), r),
-        degree=r)
+        beta=truncated_part(yb_defect(r_t), r),
+        alpha_yi=truncated_part(yi_defect(mu_t, r_t), r),
+        alpha_iy=truncated_part(iy_defect(mu_t, r_t), r),
+        gamma=truncated_part(assoc_defect(mu_t), r))
 
 
 def obstruction_is_cocycle(b: BraidedAlgebra, c: YBH2Cochain) -> bool:
@@ -204,7 +191,7 @@ def obstruction_is_cocycle(b: BraidedAlgebra, c: YBH2Cochain) -> bool:
     if not delta2(b, c).is_zero():
         raise InputError("obstruction_is_cocycle needs a 2-cocycle")
     bundle = obstruction_bundle(series_from_cocycle(b, c), 2)
-    return delta3(b, bundle.as_cochain3()).is_zero()
+    return delta3(b, bundle).is_zero()
 
 
 # ---------------------------------------------------------------- quadratic extension
@@ -232,7 +219,7 @@ def extend_to_quadratic(b: BraidedAlgebra, c: YBH2Cochain) -> QuadraticExtension
         raise InputError("extend_to_quadratic needs a 2-cocycle")
     bundle = obstruction_bundle(series_from_cocycle(b, c), 2)
     d2 = differential_matrix(b, 2)
-    rhs = {pos: b.field.neg(v) for pos, v in bundle.as_cochain3().flatten().items()}
+    rhs = {pos: b.field.neg(v) for pos, v in bundle.flatten().items()}
     sol = d2.solve(rhs)
     if isinstance(sol, SolveCertificate):
         return QuadraticExtension(False, certificate=sol, bundle=bundle)
@@ -257,6 +244,21 @@ class TrivializationReport:
         return self.inverse_ok and self.algebra_ok and self.yb_ok
 
 
+def _carries(b: BraidedAlgebra, c: YBH2Cochain, f: TensorMap):
+    """(ftilde, algebra_ok, yb_ok) for ftilde = 1 + hbar f over the dual
+    numbers, as a map from the deformation by c + delta^1(f) onto the
+    deformation by c: whether it carries the product and the braiding."""
+    shifted = c + delta1(b, f)
+    ring = TruncatedRing(b.field, 2)
+    ftilde = identity_map(ring, b.dim, 1) + truncated_from_parts(ring, [None, f])
+    ff = ftilde.tensor(ftilde)
+    mu1 = truncated_from_parts(ring, [b.mu, c.psi])
+    r1 = truncated_from_parts(ring, [b.r, c.phi])
+    mu2 = truncated_from_parts(ring, [b.mu, shifted.psi])
+    r2 = truncated_from_parts(ring, [b.r, shifted.phi])
+    return ftilde, ftilde.compose(mu2) == mu1.compose(ff), ff.compose(r2) == r1.compose(ff)
+
+
 def trivializing_isomorphism(b: BraidedAlgebra, f: TensorMap) -> TrivializationReport:
     """The coboundary deformation by delta^1(f) is trivialized by 1 + hbar f.
 
@@ -269,24 +271,15 @@ def trivializing_isomorphism(b: BraidedAlgebra, f: TensorMap) -> TrivializationR
         (ftilde ox ftilde) o R_deformed = R o (ftilde ox ftilde)
 
     All three identities are theorems; any failure is an internal error.
+    The last two are check_cohomologous_deformations at c = 0.
     """
     if (f.in_arity, f.out_arity) != (1, 1) or f.dim != b.dim:
         raise InputError("trivializing map must be (1->1) of matching dimension")
-    c = delta1(b, f)
-    ring = TruncatedRing(b.field, 2)
-    one = identity_map(ring, b.dim, 1)
-    f_t = truncated_from_parts(ring, [None, f])
-    ftilde = one + f_t
-    ftilde_inv = one - f_t
-    mu_t = truncated_from_parts(ring, [b.mu, c.psi])
-    r_t = truncated_from_parts(ring, [b.r, c.phi])
-    mu_base = truncated_from_parts(ring, [b.mu])
-    r_base = truncated_from_parts(ring, [b.r])
-    ff = ftilde.tensor(ftilde)
-    report = TrivializationReport(
-        inverse_ok=(ftilde_inv.compose(ftilde) == one),
-        algebra_ok=(ftilde.compose(mu_t) == mu_base.compose(ff)),
-        yb_ok=(ff.compose(r_t) == r_base.compose(ff)))
+    ftilde, algebra_ok, yb_ok = _carries(b, YBH2Cochain.unflatten({}, b.field, b.dim), f)
+    one = identity_map(ftilde.field, b.dim, 1)
+    ftilde_inv = one - (ftilde - one)          # 1 - hbar f
+    report = TrivializationReport(inverse_ok=(ftilde_inv.compose(ftilde) == one),
+                                  algebra_ok=algebra_ok, yb_ok=yb_ok)
     if not report.ok:
         raise InternalCheckError(f"trivializing isomorphism failed: {report}")
     return report
@@ -296,14 +289,5 @@ def check_cohomologous_deformations(b: BraidedAlgebra, c: YBH2Cochain,
                                     f: TensorMap) -> bool:
     """Deformations by c and by c + delta^1(f) are connected by 1 + hbar f
     (as a map from the latter onto the former)."""
-    shifted = c + delta1(b, f)
-    ring = TruncatedRing(b.field, 2)
-    one = identity_map(ring, b.dim, 1)
-    ftilde = one + truncated_from_parts(ring, [None, f])
-    ff = ftilde.tensor(ftilde)
-    mu1 = truncated_from_parts(ring, [b.mu, c.psi])
-    r1 = truncated_from_parts(ring, [b.r, c.phi])
-    mu2 = truncated_from_parts(ring, [b.mu, shifted.psi])
-    r2 = truncated_from_parts(ring, [b.r, shifted.phi])
-    return (ftilde.compose(mu2) == mu1.compose(ff)
-            and ff.compose(r2) == r1.compose(ff))
+    _, algebra_ok, yb_ok = _carries(b, c, f)
+    return algebra_ok and yb_ok

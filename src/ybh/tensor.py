@@ -7,9 +7,13 @@ grid is linearized row-major (position = row * d^n + col) by flatten().
 Both conventions are fixed once here and shared by the file formats.
 
 Two storage layouts sit behind one interface: sparse {col: {row: scalar}},
-exact over any ring, and dense numpy int64 residue matrices (one per
-hbar-degree over a truncated ring).  One rule decides between them, "dense
-in, dense out":
+exact over any ring, and dense, one numpy int64 array of shape
+(order, rows, cols) with entries in [0, p).  Layer j of that residue stack
+holds the hbar^j coefficients over F_p[hbar]/(hbar^order); over F_p itself
+order is 1.  A scalar is the coefficient tuple of one cell, or its single
+element over a field.  Dense compose, tensor and scale are one truncated
+Cauchy product of stacks (_cauchy), so a truncated ring is no special case.
+One rule decides between the layouts, "dense in, dense out":
 
 * dense storage is created only by random_map over a plain prime field and
   by truncated_from_parts over a prime base;
@@ -64,8 +68,42 @@ def _ring_key(ring):
     return (ring.kind, getattr(ring, "p", None))
 
 
+def same_ring(a, b) -> bool:
+    """Whether a and b are the same coefficient ring: same kind, prime and
+    truncation order, compared by identity first."""
+    return a is b or _ring_key(a) == _ring_key(b)
+
+
 def _is_prime_based(ring) -> bool:
     return isinstance(base_of(ring), PrimeField)
+
+
+def _coefficients(ring):
+    """v -> the layer coefficients of a ring scalar v: v itself over a
+    truncated ring, (v,) over a field.  A dense map has one layer per
+    coefficient."""
+    return (lambda v: v) if isinstance(ring, TruncatedRing) else (lambda v: (v,))
+
+
+def _scalars(ring, stack: np.ndarray) -> list:
+    """The ring scalars held by the columns of an (order, n) residue stack."""
+    if isinstance(ring, TruncatedRing):
+        return list(map(tuple, stack.T.tolist()))
+    return stack[0].tolist()
+
+
+def _cauchy(op, a, b, p: int) -> np.ndarray:
+    """Truncated Cauchy product of residue stacks: layer k of the result is
+    sum_{i+j=k} op(a[i], b[j]) mod p, over the len(b) layers of b.  op takes
+    residues in [0, p) and returns integers below p^2 (matrix product mod p,
+    Kronecker product, scalar multiple), so no partial sum overflows."""
+    layers = []
+    for k in range(len(b)):
+        acc = op(a[0], b[k]) % p
+        for i in range(1, k + 1):
+            acc = (acc + op(a[i], b[k - i])) % p
+        layers.append(acc)
+    return np.stack(layers)
 
 
 class TensorMap:
@@ -152,22 +190,11 @@ class TensorMap:
     def to_sparse_data(self) -> dict:
         if self._rep == "sparse":
             return self._data
-        if isinstance(self.field, TruncatedRing):
-            m = self.field.order
-            data = {}
-            for t, arr in enumerate(self._data):
-                for r, c in zip(*np.nonzero(arr)):
-                    col = data.setdefault(int(c), {})
-                    cur = col.get(int(r))
-                    if cur is None:
-                        cur = list(self.field.zero)
-                        col[int(r)] = cur
-                    cur[t] = int(arr[r, c])
-            return {c: {r: tuple(v) for r, v in col.items()} for c, col in data.items()}
-        arr = self._data
+        rs, cs = np.nonzero(self._data.any(axis=0))
         data = {}
-        for r, c in zip(*np.nonzero(arr)):
-            data.setdefault(int(c), {})[int(r)] = int(arr[r, c])
+        for r, c, v in zip(rs.tolist(), cs.tolist(),
+                           _scalars(self.field, self._data[:, rs, cs])):
+            data.setdefault(c, {})[r] = v
         return data
 
     def _as_sparse(self) -> "TensorMap":
@@ -179,16 +206,14 @@ class TensorMap:
     def _as_dense(self) -> "TensorMap":
         if self._rep == "dense":
             return self
-        p = self._prime()
-        trunc = isinstance(self.field, TruncatedRing)
-        arrs = [np.zeros((self.rows, self.cols), dtype=np.int64)
-                for _ in range(self.field.order if trunc else 1)]
+        coefficients, p = _coefficients(self.field), self._prime()
+        layers = len(coefficients(self.field.zero))
+        data = np.zeros((layers, self.rows, self.cols), dtype=np.int64)
         for c, col in self._data.items():
             for r, v in col.items():
-                for t, x in enumerate(v if trunc else (v,)):
-                    arrs[t][r, c] = x % p
-        return TensorMap(self.field, self.dim, self.in_arity, self.out_arity,
-                         "dense", arrs if trunc else arrs[0])
+                for j, x in enumerate(coefficients(v)):
+                    data[j, r, c] = x % p
+        return TensorMap(self.field, self.dim, self.in_arity, self.out_arity, "dense", data)
 
     def _dense_with(self, other: "TensorMap", out_cells: int) -> bool:
         """The storage rule: numpy exactly when the ring is prime-based, an
@@ -200,7 +225,7 @@ class TensorMap:
     # ------------------------------------------------------------------ compatibility
 
     def _require_same_ring(self, other: "TensorMap", what: str):
-        if self.field is not other.field and _ring_key(self.field) != _ring_key(other.field):
+        if not same_ring(self.field, other.field):
             raise InputError(f"{what}: mismatched coefficient rings")
         if self.dim != other.dim:
             raise InputError(f"{what}: dimension mismatch {self.dim} vs {other.dim}")
@@ -239,16 +264,9 @@ class TensorMap:
 
     def _compose_dense(self, other: "TensorMap") -> "TensorMap":
         p = self._prime()
-        a, b = self._as_dense()._data, other._as_dense()._data
-        if isinstance(self.field, TruncatedRing):
-            m = self.field.order
-            out = [np.zeros((self.rows, other.cols), dtype=np.int64) for _ in range(m)]
-            for i in range(m):
-                for j in range(m - i):
-                    out[i + j] = (out[i + j] + _matmul_mod(a[i], b[j], p)) % p
-            return TensorMap(self.field, self.dim, other.in_arity, self.out_arity, "dense", out)
-        return TensorMap(self.field, self.dim, other.in_arity, self.out_arity,
-                         "dense", _matmul_mod(a, b, p))
+        out = _cauchy(lambda x, y: _matmul_mod(x, y, p),
+                      self._as_dense()._data, other._as_dense()._data, p)
+        return TensorMap(self.field, self.dim, other.in_arity, self.out_arity, "dense", out)
 
     def _compose_sparse(self, other: "TensorMap") -> "TensorMap":
         """Driven from the operand with fewer stored columns: for each column
@@ -291,17 +309,9 @@ class TensorMap:
         k = self.out_arity + other.out_arity
         cells = self.rows * other.rows * self.cols * other.cols
         if self._dense_with(other, cells):
-            p = self._prime()
-            a, b = self._as_dense()._data, other._as_dense()._data
-            if isinstance(self.field, TruncatedRing):
-                m = self.field.order
-                out = [np.zeros((self.rows * other.rows, self.cols * other.cols),
-                                dtype=np.int64) for _ in range(m)]
-                for i in range(m):
-                    for j in range(m - i):
-                        out[i + j] = (out[i + j] + np.kron(a[i], b[j])) % p
-                return TensorMap(self.field, self.dim, n, k, "dense", out)
-            return TensorMap(self.field, self.dim, n, k, "dense", np.kron(a, b) % p)
+            out = _cauchy(np.kron, self._as_dense()._data, other._as_dense()._data,
+                          self._prime())
+            return TensorMap(self.field, self.dim, n, k, "dense", out)
         f, g = self._as_sparse(), other._as_sparse()
         field = self.field
         mul, is_zero = field.mul, field.is_zero
@@ -329,12 +339,7 @@ class TensorMap:
     def __add__(self, other: "TensorMap") -> "TensorMap":
         self._require_same_shape(other, "add")
         if self._dense_with(other, self.rows * self.cols):
-            p = self._prime()
-            a, b = self._as_dense()._data, other._as_dense()._data
-            if isinstance(self.field, TruncatedRing):
-                out = [(x + y) % p for x, y in zip(a, b)]
-            else:
-                out = (a + b) % p
+            out = (self._as_dense()._data + other._as_dense()._data) % self._prime()
             return TensorMap(self.field, self.dim, self.in_arity, self.out_arity, "dense", out)
         a, b = self._as_sparse(), other._as_sparse()
         field = self.field
@@ -356,15 +361,9 @@ class TensorMap:
             return TensorMap.zero(field, self.dim, self.in_arity, self.out_arity)
         if self._rep == "dense":
             p = self._prime()
-            if isinstance(field, TruncatedRing):
-                out = [np.zeros_like(self._data[0]) for _ in range(field.order)]
-                for i, si in enumerate(s):
-                    if si % p:
-                        for j in range(field.order - i):
-                            out[i + j] = (out[i + j] + si * self._data[j]) % p
-                return TensorMap(field, self.dim, self.in_arity, self.out_arity, "dense", out)
-            return TensorMap(field, self.dim, self.in_arity, self.out_arity,
-                             "dense", (self._data * (s % p)) % p)
+            out = _cauchy(np.multiply, [x % p for x in _coefficients(field)(s)],
+                          self._data, p)
+            return TensorMap(self.field, self.dim, self.in_arity, self.out_arity, "dense", out)
         mul, is_zero = field.mul, field.is_zero
         data = {}
         for c, col in self._data.items():
@@ -383,9 +382,7 @@ class TensorMap:
 
     def is_zero(self) -> bool:
         if self._rep == "dense":
-            p = self._prime()
-            arrs = self._data if isinstance(self.field, TruncatedRing) else [self._data]
-            return all(not (a % p).any() for a in arrs)
+            return not self._data.any()
         return not self._data
 
     def __eq__(self, other):
@@ -402,9 +399,7 @@ class TensorMap:
 
     def entry(self, row: int, col: int):
         if self._rep == "dense":
-            if isinstance(self.field, TruncatedRing):
-                return tuple(int(a[row, col]) for a in self._data)
-            return int(self._data[row, col])
+            return _scalars(self.field, self._data[:, row, col:col + 1])[0]
         return self._data.get(col, {}).get(row, self.field.zero)
 
     def entries(self):
@@ -541,29 +536,23 @@ def truncated_from_parts(ring: TruncatedRing, parts) -> TensorMap:
     shapes = {(t.dim, t.in_arity, t.out_arity) for t in parts if t is not None}
     if len(shapes) != 1:
         raise InputError("truncated_from_parts: parts must share one shape")
+    for t in parts:
+        if t is not None and not same_ring(t.field, ring.base):
+            raise InputError(f"truncated_from_parts: a part over {t.field!r} "
+                             f"in a ring over {ring.base!r}")
     (d, n, k), = shapes
-    first = next(t for t in parts if t is not None)
-    if _is_prime_based(first.field) and first.rows * first.cols <= _DENSE_CELLS:
-        arrs = []
-        for j in range(ring.order):
-            if j < len(parts) and parts[j] is not None:
-                arrs.append(parts[j]._as_dense()._data.copy())
-            else:
-                arrs.append(np.zeros((d ** k, d ** n), dtype=np.int64))
-        return TensorMap(ring, d, n, k, "dense", arrs)
-    data = {}
+    if _is_prime_based(ring) and d ** (k + n) <= _DENSE_CELLS:
+        data = np.zeros((ring.order, d ** k, d ** n), dtype=np.int64)
+        for j, t in enumerate(parts):
+            if t is not None:
+                data[j] = t._as_dense()._data[0]
+        return TensorMap(ring, d, n, k, "dense", data)
+    cells = {}
     for j, t in enumerate(parts):
-        if t is None:
-            continue
-        for r, c, v in t.entries():
-            col = data.setdefault(c, {})
-            tup = col.get(r)
-            if tup is None:
-                tup = list(ring.zero)
-                col[r] = tup
-            tup[j] = v
-    data = {c: {r: tuple(v) for r, v in col.items()} for c, col in data.items()}
-    return TensorMap(ring, d, n, k, "sparse", data)
+        for r, c, v in (t.entries() if t is not None else ()):
+            cells.setdefault((r, c), list(ring.zero))[j] = v
+    return TensorMap.from_entries(ring, d, n, k,
+                                  [(r, c, tuple(v)) for (r, c), v in cells.items()])
 
 
 def truncated_part(t: TensorMap, j: int) -> TensorMap:
@@ -571,28 +560,24 @@ def truncated_part(t: TensorMap, j: int) -> TensorMap:
     ring = t.field
     if not isinstance(ring, TruncatedRing):
         raise InputError("truncated_part needs a truncated-ring map")
+    if not 0 <= j < ring.order:
+        raise InputError(f"truncated_part: hbar^{j} outside truncation order {ring.order}")
     base = ring.base
     if t._rep == "dense":
-        return TensorMap(base, t.dim, t.in_arity, t.out_arity, "dense",
-                         t._data[j] % base.p)
-    entries = []
-    for c, col in t._data.items():
-        for r, tup in col.items():
-            if not base.is_zero(tup[j]):
-                entries.append((r, c, tup[j]))
-    return TensorMap.from_entries(base, t.dim, t.in_arity, t.out_arity, entries)
+        return TensorMap(base, t.dim, t.in_arity, t.out_arity, "dense", t._data[j:j + 1])
+    return TensorMap.from_entries(base, t.dim, t.in_arity, t.out_arity,
+                                  ((r, c, tup[j]) for c, col in t._data.items()
+                                   for r, tup in col.items()))
 
 
 def random_map(field, d: int, n: int, k: int, rng, span: int = 9) -> TensorMap:
-    """Dense random map; dense numpy over prime fields, sparse otherwise."""
+    """Dense random map; a one-layer residue stack over prime fields, sparse
+    otherwise."""
     rows, cols = d ** k, d ** n
-    if _is_prime_based(field) and not isinstance(field, TruncatedRing) \
-            and rows * cols <= _DENSE_CELLS:
-        arr = np.empty((rows, cols), dtype=np.int64)
-        for r in range(rows):
-            for c in range(cols):
-                arr[r, c] = field.random(rng)
-        return TensorMap(field, d, n, k, "dense", arr)
+    if isinstance(field, PrimeField) and rows * cols <= _DENSE_CELLS:
+        data = [field.random(rng) for _ in range(rows * cols)]
+        return TensorMap(field, d, n, k, "dense",
+                         np.array(data, dtype=np.int64).reshape(1, rows, cols))
     entries = []
     for r in range(rows):
         for c in range(cols):

@@ -235,7 +235,7 @@ def test_yb_differential_d3_on_theta_of_yb_cocycles():
             ((p // 4, p % 4, x) for p, x in enumerate(v) if not field.is_zero(x)))
         c = YBH2Cochain(phi, TensorMap.zero(field, 2, 2, 1))
         bundle = obstruction_bundle(series_from_cocycle(b, c), 2)
-        assert yb_differential_d3(b, bundle.theta).is_zero()
+        assert yb_differential_d3(b, bundle.beta).is_zero()
 
 
 @pytest.mark.parametrize("name", SMALL_FIXTURES)
@@ -506,3 +506,28 @@ def test_every_cochain_class_validates_its_summands():
         with pytest.raises(InputError):
             make()
             pytest.fail(f"case {i} was accepted")
+
+
+def test_cochain_summands_share_one_coefficient_ring():
+    from ybh.cohomology import YBH4Cochain
+    from ybh.hopf import HopfTwoCochain
+
+    def zero(field, a, b):
+        return TensorMap.zero(field, 2, a, b)
+
+    F2 = GF(2)
+    good = {name: zero(QQ, 4, b) for name, _, b in YBH4Cochain.SUMMANDS}
+    bad = [
+        lambda: YBH2Cochain(zero(QQ, 2, 2), zero(F2, 2, 1)),
+        lambda: YBH2Cochain(zero(GF(3), 2, 2), zero(F2, 2, 1)),
+        lambda: YBH3Cochain(zero(F2, 3, 3), zero(F2, 3, 2), zero(F2, 3, 2), zero(QQ, 3, 1)),
+        lambda: HopfTwoCochain(zero(F2, 2, 1), zero(QQ, 1, 2)),
+        lambda: YBH4Cochain(dict(good, pentagon=zero(F2, 4, 1))),
+    ]
+    for i, make in enumerate(bad):
+        with pytest.raises(InputError, match="ring"):
+            make()
+            pytest.fail(f"case {i} was accepted")
+    from ybh.scalars import PrimeField
+    assert PrimeField(2) is not F2              # equal rings, separate objects
+    assert YBH2Cochain(zero(F2, 2, 2), zero(PrimeField(2), 2, 1)).flatten() == {}

@@ -81,7 +81,7 @@ def test_lambda_for_psi_only_series():
     bundle = obstruction_bundle(series_from_cocycle(b, c), 2)
     one = identity_map(field, 2, 1)
     expected = compose(psi, psi.tensor(one)) - compose(psi, one.tensor(psi))
-    assert bundle.lam == expected
+    assert bundle.gamma == expected
 
 
 @pytest.mark.parametrize("field", [GF(101), QQ])
@@ -94,10 +94,24 @@ def test_bundle_matches_truncated_oracle(field):
         s = series_from_cocycle(b, c)
         direct = obstruction_bundle(s, 2)
         oracle = obstruction_bundle_oracle(s, 2)
-        assert direct.theta == oracle.theta
-        assert direct.xi_minus_omega_yi == oracle.xi_minus_omega_yi
-        assert direct.xi_minus_omega_iy == oracle.xi_minus_omega_iy
-        assert direct.lam == oracle.lam
+        assert direct.beta == oracle.beta
+        assert direct.alpha_yi == oracle.alpha_yi
+        assert direct.alpha_iy == oracle.alpha_iy
+        assert direct.gamma == oracle.gamma
+
+
+def test_obstruction_bundle_is_a_c3_cochain():
+    from dataclasses import fields
+    from ybh.cohomology import C3, YBH3Cochain
+    field = GF(101)
+    b = build_fixture("z2_adjoint", field)
+    s = series_from_cocycle(b, _random_cochain(field, 2, SplitMix64(31)))
+    for bundle in (obstruction_bundle(s, 2), obstruction_bundle_oracle(s, 2)):
+        assert isinstance(bundle, ObstructionBundle) and isinstance(bundle, YBH3Cochain)
+        assert tuple(f.name for f in fields(bundle)) == C3.names()
+        plain = bundle.as_cochain3()
+        assert type(plain) is YBH3Cochain and plain.flatten() == bundle.flatten()
+        assert delta3(b, bundle) == delta3(b, plain)
 
 
 def test_bundle_matches_oracle_at_degree_three():
@@ -230,10 +244,10 @@ def test_order2_verification_iff_obstruction_equations():
         s = DeformationSeries(b, [c.phi, c2.phi], [c.psi, c2.psi])
         lhs = delta2(b, c2)
         equations_hold = (
-            (lhs.beta + bundle.theta).is_zero()
-            and (lhs.alpha_yi + bundle.xi_minus_omega_yi).is_zero()
-            and (lhs.alpha_iy + bundle.xi_minus_omega_iy).is_zero()
-            and (lhs.gamma + bundle.lam).is_zero())
+            (lhs.beta + bundle.beta).is_zero()
+            and (lhs.alpha_yi + bundle.alpha_yi).is_zero()
+            and (lhs.alpha_iy + bundle.alpha_iy).is_zero()
+            and (lhs.gamma + bundle.gamma).is_zero())
         assert verify_deformation(s).ok == equations_hold
 
 

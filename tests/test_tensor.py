@@ -204,6 +204,50 @@ def test_permutation_map():
     assert compose(tau, tau) == identity_map(QQ, 3, 2)
 
 
+def _assert_residue_stack(t):
+    order = t.field.order if isinstance(t.field, TruncatedRing) else 1
+    p = base_of(t.field).p
+    assert t._rep == "dense" and isinstance(t._data, np.ndarray)
+    assert t._data.dtype == np.int64 and t._data.shape == (order, t.rows, t.cols)
+    assert t._data.min() >= 0 and t._data.max() < p
+
+
+def test_dense_maps_are_one_residue_stack():
+    """Every dense map, over F_p or F_p[hbar]/(hbar^m), stores one int64
+    array of shape (order, rows, cols) with entries in [0, p)."""
+    rng = SplitMix64(47)
+    a, c = random_map(GF(101), 2, 2, 2, rng), random_map(GF(101), 2, 2, 1, rng)
+    ring = TruncatedRing(GF(7), 3)
+    h = truncated_from_parts(ring, [random_map(GF(7), 2, 2, 2, rng) for _ in range(3)])
+    g = truncated_from_parts(ring, [None, random_map(GF(7), 2, 2, 1, rng)])
+    for t in (a, c, compose(c, a), a.tensor(c), a + a, a.scale(100), -a,
+              h, g, compose(g, h), h.tensor(g), h + h, h.scale((6, 0, 3)), -h,
+              truncated_part(h, 2), truncated_part(g, 0)):
+        _assert_residue_stack(t)
+
+
+def test_truncated_from_parts_rejects_parts_over_another_ring():
+    rng = SplitMix64(48)
+    over_f5, over_q = TruncatedRing(GF(5), 2), TruncatedRing(QQ, 2)
+    q_part = random_map(QQ, 2, 1, 1, rng, span=3)
+    f5_part = random_map(GF(5), 2, 1, 1, rng)
+    for ring, parts in [(over_f5, [q_part]), (over_f5, [f5_part, q_part]),
+                        (over_q, [f5_part]), (over_q, [None, f5_part]),
+                        (over_f5, [random_map(GF(7), 2, 1, 1, rng)])]:
+        with pytest.raises(InputError, match="part over"):
+            truncated_from_parts(ring, parts)
+
+
+def test_truncated_part_rejects_degrees_outside_the_order():
+    rng = SplitMix64(49)
+    dense = truncated_from_parts(TruncatedRing(GF(5), 3), [random_map(GF(5), 2, 1, 1, rng)])
+    sparse = truncated_from_parts(TruncatedRing(QQ, 3), [random_map(QQ, 2, 1, 1, rng)])
+    for t in (dense, sparse):
+        for j in (-1, 3, 4):
+            with pytest.raises(InputError, match="truncation order"):
+                truncated_part(t, j)
+
+
 def test_truncated_parts_round_trip():
     ring = TruncatedRing(GF(5), 3)
     rng = SplitMix64(8)
