@@ -401,7 +401,7 @@ def d3_yb_raw(r: TensorMap, beta: TensorMap) -> TensorMap:
     out = TensorMap.zero(r.field, r.dim, 4, 4)
     for sign, after, strand, before in YB4_LOOP_TERMS:
         term = compose(_word_op(r, after), ins[strand], _word_op(r, before))
-        out = out + (term if sign > 0 else -term)
+        out = out + term if sign > 0 else out - term
     return out
 
 

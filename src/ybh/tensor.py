@@ -32,6 +32,13 @@ every stored column k of a it scatters row k of b (row route).  The row
 route reads b through a {row: {col: scalar}} index built on first use and
 kept on the map (maps are immutable), so a structure lift such as R (x) 1,
 composed with many one-column cochain lifts, builds its index once.
+
+Two structural operations cost no scalar arithmetic on sparse maps.  When
+one factor of a Kronecker product is an identity, f (x) 1_n and 1_n (x) f
+only re-index the stored entries of f: column cf*n' + c of f (x) 1_n is
+{rf*n' + c: v} and column c*fcols + cf of 1_n (x) f is {c*frows + rf: v},
+with n' = d^n.  a + b and a - b are one pass over b's entries (field.add or
+field.sub where both have an entry, v or field.neg(v) where only b has one).
 """
 
 from __future__ import annotations
@@ -314,8 +321,16 @@ class TensorMap:
             return TensorMap(self.field, self.dim, n, k, "dense", out)
         f, g = self._as_sparse(), other._as_sparse()
         field = self.field
-        mul, is_zero = field.mul, field.is_zero
         grows, gcols = g.rows, g.cols
+        if g._is_identity():
+            return TensorMap(field, self.dim, n, k, "sparse", {
+                cf * gcols + c: {rf * grows + c: v for rf, v in colf.items()}
+                for cf, colf in f._data.items() for c in g._data})
+        if f._is_identity():
+            return TensorMap(field, self.dim, n, k, "sparse", {
+                c * gcols + cg: {c * grows + rg: v for rg, v in colg.items()}
+                for c in f._data for cg, colg in g._data.items()})
+        mul, is_zero = field.mul, field.is_zero
         data = {}
         for cf, colf in f._data.items():
             for cg, colg in g._data.items():
@@ -337,18 +352,27 @@ class TensorMap:
                              f"vs ({other.in_arity}->{other.out_arity})")
 
     def __add__(self, other: "TensorMap") -> "TensorMap":
-        self._require_same_shape(other, "add")
+        return self._plus(other, False)
+
+    def __sub__(self, other: "TensorMap") -> "TensorMap":
+        return self._plus(other, True)
+
+    def _plus(self, other: "TensorMap", subtract: bool) -> "TensorMap":
+        """self + other, or self - other when subtract, in one pass."""
+        self._require_same_shape(other, "sub" if subtract else "add")
         if self._dense_with(other, self.rows * self.cols):
-            out = (self._as_dense()._data + other._as_dense()._data) % self._prime()
+            a, b = self._as_dense()._data, other._as_dense()._data
+            out = (a - b if subtract else a + b) % self._prime()
             return TensorMap(self.field, self.dim, self.in_arity, self.out_arity, "dense", out)
         a, b = self._as_sparse(), other._as_sparse()
         field = self.field
+        op, neg, is_zero = (field.sub if subtract else field.add), field.neg, field.is_zero
         data = {c: dict(col) for c, col in a._data.items()}
         for c, col in b._data.items():
             dst = data.setdefault(c, {})
             for r, v in col.items():
-                s = field.add(dst[r], v) if r in dst else v
-                if field.is_zero(s):
+                s = op(dst[r], v) if r in dst else neg(v) if subtract else v
+                if is_zero(s):
                     dst.pop(r, None)
                 else:
                     dst[r] = s
@@ -375,10 +399,16 @@ class TensorMap:
     def __neg__(self) -> "TensorMap":
         return self.scale(self.field.neg(self.field.one))
 
-    def __sub__(self, other: "TensorMap") -> "TensorMap":
-        return self + (-other)
-
     # ------------------------------------------------------------------ predicates
+
+    def _is_identity(self) -> bool:
+        """Whether this is a sparse identity map; stops at the first column
+        that is not {c: one}."""
+        if self._rep != "sparse" or self.in_arity != self.out_arity \
+                or len(self._data) != self.cols:
+            return False
+        one = self.field.one
+        return all(len(col) == 1 and col.get(c) == one for c, col in self._data.items())
 
     def is_zero(self) -> bool:
         if self._rep == "dense":

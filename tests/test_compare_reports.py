@@ -26,3 +26,20 @@ def test_compare_reports_same_tree_is_byte_identical(tmp_path):
     (tmp_path / "b" / "z2_adjoint-F2.check.json").write_text("{}")
     assert tool.diff_dirs(tmp_path / "a", tmp_path / "b") == ["z2_adjoint-F2.check.json"]
     assert tool.main(["only-one"]) == 2
+
+
+def test_finish_removes_the_trees_only_when_byte_identical(tmp_path, capsys):
+    tool = _tool()
+    for side in ("a", "b"):
+        (tmp_path / "same" / side).mkdir(parents=True)
+        (tmp_path / "same" / side / "r.json").write_text("{}")
+    assert tool.finish(tmp_path / "same") == 0
+    assert not (tmp_path / "same").exists()
+    assert "1 files: byte-identical" in capsys.readouterr().out
+    for side, text in (("a", "{}"), ("b", "[]")):
+        (tmp_path / "differ" / side).mkdir(parents=True)
+        (tmp_path / "differ" / side / "r.json").write_text(text)
+    assert tool.finish(tmp_path / "differ") == 1
+    assert (tmp_path / "differ" / "a" / "r.json").is_file()
+    out = capsys.readouterr().out
+    assert str(tmp_path / "differ") in out and "differs: r.json" in out

@@ -183,6 +183,78 @@ def test_dense_and_sparse_paths_agree():
                          _truncated_dense(ring, 2, 1, (1,), rng), (3, 0, 5))
 
 
+_RINGS = [QQ, GF(2), GF(101), TruncatedRing(QQ, 2), TruncatedRing(GF(7), 3)]
+_RING_IDS = ["Q", "GF2", "GF101", "Q_h2", "GF7_h3"]
+
+
+def _operands(field, n, k, rng):
+    """Maps (n -> k) over field of every kind, a dense zero map included
+    over prime-based rings."""
+    maps = [_kernel_operand(field, n, k, kind, rng)
+            for kind in ("zero", "single", "holes", "full")]
+    if isinstance(base_of(field), PrimeField):
+        maps += [_kernel_operand(field, n, k, "dense", rng),
+                 TensorMap.zero(field, 2, n, k)._as_dense()]
+    return maps
+
+
+def _generic_tensor(f, g):
+    """Oracle: the Kronecker product with one field.mul per pair of entries."""
+    field, a, b = f.field, f.to_sparse_data(), g.to_sparse_data()
+    entries = [(rf * g.rows + rg, cf * g.cols + cg, field.mul(vf, vg))
+               for cf, colf in a.items() for cg, colg in b.items()
+               for rf, vf in colf.items() for rg, vg in colg.items()]
+    return TensorMap.from_entries(field, f.dim, f.in_arity + g.in_arity,
+                                  f.out_arity + g.out_arity, entries)
+
+
+@pytest.mark.parametrize("field", _RINGS, ids=_RING_IDS)
+def test_identity_lifts_match_the_generic_product(field, monkeypatch):
+    """f (x) 1_n and 1_n (x) f equal the multiply-every-pair product entry
+    for entry, scalar types included, and keep f's storage; a sparse f is
+    only re-indexed, with no field.mul."""
+    rng = SplitMix64(53)
+    muls = []
+    mul = field.mul
+    monkeypatch.setattr(field, "mul", lambda a, b: muls.append(1) or mul(a, b))
+    for n, k in ((0, 1), (2, 1), (2, 2), (3, 2)):
+        for f in _operands(field, n, k, rng):
+            for m in (0, 1, 2):
+                one = identity_map(field, 2, m)
+                wants = (_generic_tensor(f, one), _generic_tensor(one, f))
+                del muls[:]
+                lifts = (f.tensor(one), one.tensor(f))
+                assert not (muls and f._rep == "sparse")
+                for got, want in zip(lifts, wants):
+                    assert got._rep == f._rep
+                    assert (got.in_arity, got.out_arity) == (n + m, k + m)
+                    assert _typed_entries(got) == _typed_entries(want)
+
+
+@pytest.mark.parametrize("field", _RINGS, ids=_RING_IDS)
+def test_subtraction_matches_adding_the_negative(field):
+    """a - b equals a + (-b) entry for entry, scalar types and storage
+    included, also where columns cancel, and fails the same way."""
+    rng = SplitMix64(59)
+    maps = _operands(field, 2, 2, rng)
+    for a in maps:
+        for b in maps + [a, a + maps[1]]:
+            got, want = a - b, a + (-b)
+            assert got._rep == want._rep
+            assert _typed_entries(got) == _typed_entries(want)
+    assert (maps[2] - maps[2]).is_zero() and (maps[-1] - maps[-1]).is_zero()
+    assert _typed_entries(maps[2] - (maps[2] + maps[1])) == _typed_entries(-maps[1])
+    other = GF(3) if field is QQ else QQ
+    for b in (_kernel_operand(field, 2, 1, "full", rng),
+              _kernel_operand(other, 2, 2, "full", rng)):
+        errors = []
+        for op in (lambda: maps[2] - b, lambda: maps[2] + (-b)):
+            with pytest.raises(InputError) as exc:
+                op()
+            errors.append(type(exc.value))
+        assert errors[0] is errors[1]
+
+
 def test_storage_rule_keeps_sparse_maps_sparse():
     b = build_fixture("z2z2_adjoint", GF(101))
     assert {b.mu._rep, b.r._rep, b.algebra.unit._rep} == {"sparse"}

@@ -6,7 +6,9 @@ SRC_A and SRC_B are checkouts of this repository (each with src/ybh).  Each
 tree writes the report set below in its own subprocess, into a fresh
 directory under one temporary directory; the two directories are then
 compared file by file.  Exit 0 when every file is byte-identical, 1 on any
-difference or when a side fails, 2 on bad arguments.
+difference or when a side fails, 2 on bad arguments.  The temporary
+directory is removed when every file is byte-identical; otherwise it is kept
+and its path printed.
 
 The report set, for every fixture with d <= 4 over Q, F2 and F101:
 
@@ -24,6 +26,7 @@ is compared too.
 from __future__ import annotations
 
 import json
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -91,6 +94,23 @@ def diff_dirs(a: Path, b: Path) -> list:
                     and (a / n).read_bytes() == (b / n).read_bytes())]
 
 
+def finish(root: Path) -> int:
+    """Compare the report trees root/a and root/b and print the result.
+    Remove root and return 0 when every file is byte-identical; keep it,
+    print its path and return 1 otherwise."""
+    outs = [root / "a", root / "b"]
+    differ = diff_dirs(*outs)
+    total = len({p.name for o in outs for p in o.iterdir()})
+    if not differ:
+        shutil.rmtree(root)
+        print(f"{total} files: byte-identical")
+        return 0
+    print(f"{total} files under {root}/a and {root}/b: {len(differ)} differ")
+    for name in differ:
+        print(f"  differs: {name}")
+    return 1
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -111,15 +131,10 @@ def main(argv=None) -> int:
         procs.append(subprocess.Popen([sys.executable, "-c", code]))
     failed = [str(src.parent) for src, p in zip(srcs, procs) if p.wait() != 0]
     if failed:
-        print(f"writing the reports failed for {', '.join(failed)}", file=sys.stderr)
+        print(f"writing the reports failed for {', '.join(failed)}; reports kept "
+              f"under {root}", file=sys.stderr)
         return 1
-    differ = diff_dirs(*outs)
-    total = len({p.name for o in outs for p in o.iterdir()})
-    print(f"{total} files under {root}/a and {root}/b: "
-          + (f"{len(differ)} differ" if differ else "byte-identical"))
-    for name in differ:
-        print(f"  differs: {name}")
-    return 1 if differ else 0
+    return finish(root)
 
 
 if __name__ == "__main__":
