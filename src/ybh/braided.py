@@ -113,18 +113,25 @@ class AssociativeAlgebra:
         self.unit = unit
         self.labels = labels or [f"e{i}" for i in range(dim)]
         self._assoc: CheckResult | None = None
+        self._unit: tuple | None = None
 
     def check_associative(self) -> CheckResult:
         if self._assoc is None:
             self._assoc = check_associative(self.mu)
         return self._assoc
 
+    def unit_defects(self) -> tuple:
+        """(mu (unit ox 1) - 1, mu (1 ox unit) - 1), computed once."""
+        if self._unit is None:
+            one = identity_map(self.field, self.dim, 1)
+            self._unit = (compose(self.mu, self.unit.tensor(one)) - one,
+                          compose(self.mu, one.tensor(self.unit)) - one)
+        return self._unit
+
     def check_unit(self) -> CheckResult:
         if self.unit is None:
             return CheckResult("unit", True)
-        one = identity_map(self.field, self.dim, 1)
-        left = compose(self.mu, self.unit.tensor(one)) - one
-        right = compose(self.mu, one.tensor(self.unit)) - one
+        left, right = self.unit_defects()
         res = _check("unit", left)
         return res if not res.ok else _check("unit", right)
 
@@ -260,16 +267,17 @@ def assert_braided(b: BraidedAlgebra, context: str) -> BraidedAlgebra:
 def braided_multiplication(b: BraidedAlgebra, n: int = 1) -> BraidedAlgebra:
     """The braided algebra (V, mu o R^n, R); associativity and both mixed
     axioms for the output are theorems, so they are re-verified and any
-    failure is an internal error."""
+    failure is an internal error.  R is b's own YB operator, whose YBE
+    verdict is already known."""
     if n < 1:
         raise InputError("power must be >= 1")
     b.require()
     rn = b.r
     for _ in range(n - 1):
         rn = rn.compose(b.r)
-    out = braided_algebra(b.field, b.dim, b.mu.compose(rn), b.r,
-                          labels=b.labels, require=False)
-    return assert_braided(out, f"braided multiplication mu o R^{n}")
+    algebra = AssociativeAlgebra(b.field, b.dim, b.mu.compose(rn), labels=b.labels)
+    return assert_braided(BraidedAlgebra(algebra, b.yb),
+                          f"braided multiplication mu o R^{n}")
 
 
 def mirror_map(f: TensorMap) -> TensorMap:

@@ -20,7 +20,8 @@ from .cohomology import (C1, C2, C3, MAX_DIM_DEGREE2, MAX_DIM_DEGREE3,
                          ComplexSlice, YBH2Cochain, cocycle_basis, delta1,
                          delta2, delta3, _guard, differential_matrix,
                          h3_dimension)
-from .constructions import MCQ, FiniteGroup, from_heap, from_mcq, trivial_braiding
+from .constructions import (MCQ, FiniteGroup, from_heap, from_mcq, group_algebra,
+                            trivial_braiding)
 from .deformation import (extend_to_quadratic, obstruction_is_cocycle,
                           verify_deformation)
 from .errors import InputError, ResourceLimitError, YbhError
@@ -35,7 +36,8 @@ from .tensor import random_map
 _EXIT_PASS, _EXIT_FAIL, _EXIT_INPUT = 0, 1, 2
 
 # `check` admits every fixture (d <= 9); the adjoint braiding of k[Z/16]
-# checks in 0.7 s and 142 MB over Q, k[Z/32] takes 1.8 GB.
+# checks in 0.7 s and 142 MB over Q, k[Z/32] takes 1.8 GB.  `construct`
+# shares the bound, since it runs the same axiom suite on its output.
 MAX_DIM_CHECK = 16
 # `deform --series` admits every fixture too: its checks over
 # k[hbar]/(hbar^m) run dense over F_p, where the adjoint braiding of k[Z/9]
@@ -191,23 +193,49 @@ def cmd_deform(args) -> int:
     return _EXIT_PASS if result.success else _EXIT_FAIL
 
 
-def _construct_from_spec(spec: dict, field):
+def _table(t, what: str) -> list:
+    """A group or star table: a non-empty square list of lists of ints."""
+    if not (isinstance(t, list) and t and all(
+            isinstance(row, list) and len(row) == len(t)
+            and all(type(v) is int for v in row) for row in t)):
+        raise InputError(f"construction spec: {what} must be a non-empty square "
+                         "list of lists of ints")
+    return t
+
+
+# construction -> (output dimension from the group order, builder)
+_GROUP_CONSTRUCTIONS = {
+    "heap": (lambda n: n * n, from_heap),
+    "adjoint": (lambda n: n, lambda g, field: braided_from_hopf(group_hopf(g, field))),
+    "frobenius": (lambda n: n * n,
+                  lambda g, field: braided_frobenius(group_hopf(g, field))),
+    "trivial": (lambda n: n, lambda g, field: trivial_braiding(group_algebra(g, field))),
+}
+
+
+def _construct_from_spec(spec, field, max_dim: int | None):
+    """Validate the spec's shape, guard the output dimension, then build;
+    the group and MCQ validators grow like n^3, so the guard runs first."""
+    if not isinstance(spec, dict):
+        raise InputError("construction spec must be a JSON object")
     kind = spec.get("construction")
     if kind == "mcq":
-        groups = [FiniteGroup(t) for t in spec.get("components", [])]
-        mcq = MCQ(groups, spec["star"]) if "star" in spec else MCQ.trivial_union(groups)
+        components = spec.get("components", [])
+        if not isinstance(components, list):
+            raise InputError("construction spec: components must be a list of tables")
+        tables = [_table(t, "each component") for t in components]
+        star = _table(spec["star"], "star") if "star" in spec else None
+        _guard(sum(map(len, tables)), max_dim, MAX_DIM_CHECK, "construct command")
+        groups = [FiniteGroup(t) for t in tables]
+        mcq = MCQ(groups, star) if star is not None else MCQ.trivial_union(groups)
         return from_mcq(mcq, field)
-    if kind == "heap":
-        return from_heap(FiniteGroup(spec["group"]), field)
-    if kind == "adjoint":
-        return braided_from_hopf(group_hopf(FiniteGroup(spec["group"]), field))
-    if kind == "frobenius":
-        return braided_frobenius(group_hopf(FiniteGroup(spec["group"]), field))
-    if kind == "trivial":
-        from .constructions import group_algebra
-        return trivial_braiding(group_algebra(FiniteGroup(spec["group"]), field))
-    raise InputError(f"unknown construction {kind!r} "
-                     "(use mcq, heap, adjoint, frobenius, trivial)")
+    if kind not in _GROUP_CONSTRUCTIONS:
+        raise InputError(f"unknown construction {kind!r} "
+                         "(use mcq, heap, adjoint, frobenius, trivial)")
+    dim, build = _GROUP_CONSTRUCTIONS[kind]
+    table = _table(spec.get("group"), "group")
+    _guard(dim(len(table)), max_dim, MAX_DIM_CHECK, "construct command")
+    return build(FiniteGroup(table), field)
 
 
 def cmd_construct(args) -> int:
@@ -215,11 +243,14 @@ def cmd_construct(args) -> int:
     if bool(args.fixture) == bool(args.input):
         raise InputError("construct needs exactly one of --fixture or --input")
     if args.fixture:
+        if args.fixture in fixtures.FIXTURES:
+            _guard(fixtures.FIXTURES[args.fixture]["dim"], _max_dim(args), MAX_DIM_CHECK,
+                   "construct command")
         obj = fixtures.build_fixture(args.fixture, field)
         provenance = {"fixture": args.fixture}
     else:
         spec = load_json(args.input)
-        obj = _construct_from_spec(spec, field)
+        obj = _construct_from_spec(spec, field, _max_dim(args))
         provenance = {"construction": spec.get("construction")}
     doc = algebra_to_json(obj, provenance=provenance)
     text = canonical_json(doc)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .braided import (AssociativeAlgebra, BraidedAlgebra, assert_braided,
-                      braided_algebra)
+from .braided import (AssociativeAlgebra, BraidedAlgebra, YangBaxterOperator,
+                      assert_braided, braided_algebra)
 from .errors import InputError, ValidationError
 from .tensor import TensorMap, encode_index, transposition
 
@@ -300,10 +300,10 @@ def from_heap(g: FiniteGroup, field) -> BraidedAlgebra:
 
 
 def trivial_braiding(a: AssociativeAlgebra) -> BraidedAlgebra:
-    """R = transposition; both mixed axioms hold for any associative mu."""
+    """R = transposition on a itself; both mixed axioms hold for any
+    associative mu, and a's own verdicts are reused."""
     a.require()
-    out = braided_algebra(a.field, a.dim, a.mu, transposition(a.field, a.dim),
-                          unit=a.unit, labels=a.labels, require=False)
+    out = BraidedAlgebra(a, YangBaxterOperator(a.field, a.dim, transposition(a.field, a.dim)))
     return assert_braided(out, "transposition braiding")
 
 

@@ -15,36 +15,51 @@ get wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .braided import (BraidedAlgebra, _check, assert_braided, assoc_defect,
-                      braided_algebra)
+from .braided import (AssociativeAlgebra, BraidedAlgebra, YangBaxterOperator, _check,
+                      assert_braided, braided_algebra)
 from .cohomology import (Cochain, Summands, YBH2Cochain, delta2 as ybh_delta2,
                          hochschild_differential)
 from .constructions import FiniteGroup, dual_numbers
 from .errors import InputError, InternalCheckError, ValidationError
 from .linalg import ExactMatrix
 from .scalars import TruncatedRing
-from .tensor import (TensorMap, compose, encode_index, identity_map,
+from .tensor import (TensorMap, compose, decode_index, encode_index, identity_map,
                      transposition, truncated_from_parts, truncated_part)
 
 
 class HopfAlgebra:
+    """A Hopf algebra whose (mu, eta) is kept as an AssociativeAlgebra, so the
+    associativity and unit verdicts are computed once and shared with every
+    braided algebra built on it."""
+
     def __init__(self, field, dim, mu, eta, delta, epsilon, antipode, labels=None):
         shapes = {"mu": (mu, 2, 1), "eta": (eta, 0, 1), "Delta": (delta, 1, 2),
                   "epsilon": (epsilon, 1, 0), "S": (antipode, 1, 1)}
         for name, (t, n, k) in shapes.items():
             if (t.in_arity, t.out_arity) != (n, k) or t.dim != dim:
                 raise InputError(f"{name} must be a ({n}->{k}) map of dimension {dim}")
+        self.algebra = AssociativeAlgebra(field, dim, mu, eta, labels)
         self.field = field
         self.dim = dim
-        self.mu = mu
-        self.eta = eta
         self.delta = delta
         self.epsilon = epsilon
         self.antipode = antipode
-        self.labels = labels or [f"e{i}" for i in range(dim)]
         self._checks: list | None = None
         self._flags: dict | None = None
+
+    @property
+    def mu(self) -> TensorMap:
+        return self.algebra.mu
+
+    @property
+    def eta(self) -> TensorMap:
+        return self.algebra.unit
+
+    @property
+    def labels(self) -> list:
+        return self.algebra.labels
 
     def check_hopf(self) -> list:
         if self._checks is not None:
@@ -53,10 +68,11 @@ class HopfAlgebra:
         one = identity_map(f, d, 1)
         tau = transposition(f, d)
         mu, eta, delta, eps, s = self.mu, self.eta, self.delta, self.epsilon, self.antipode
+        unit_left, unit_right = self.algebra.unit_defects()
         checks = [
-            _check("associativity", assoc_defect(mu)),
-            _check("unit-left", compose(mu, eta.tensor(one)) - one),
-            _check("unit-right", compose(mu, one.tensor(eta)) - one),
+            self.algebra.check_associative(),
+            _check("unit-left", unit_left),
+            _check("unit-right", unit_right),
             _check("coassociativity",
                    compose(delta.tensor(one), delta) - compose(one.tensor(delta), delta)),
             _check("counit-left", compose(eps.tensor(one), delta) - one),
@@ -137,27 +153,54 @@ def dual_numbers_hopf(field) -> HopfAlgebra:
 
 # ---------------------------------------------------------------- adjoint operator
 
+def _coproduct_terms(delta: TensorMap) -> list:
+    """For each basis element y, the terms (y1, y2, y3, c) of the iterated
+    coproduct (Delta ox 1) Delta (y) = sum c y1 ox y2 ox y3."""
+    d = delta.dim
+    one = identity_map(delta.field, d, 1)
+    cols = compose(delta.tensor(one), delta).to_sparse_data()
+    return [[decode_index(t, d, 3) + (c,) for t, c in cols.get(y, {}).items()]
+            for y in range(d)]
+
+
+def _evaluate(ring, d: int, in_arity: int, out_arity: int, terms) -> TensorMap:
+    """The map whose column col is the sum of c * (v_1 ox ... ox v_k) over the
+    terms (col, c, (v_1, ..., v_k)); each v_j is a {basis index: scalar}
+    vector of V and k = out_arity."""
+    mul = ring.mul
+
+    def entries():
+        for col, c, vectors in terms:
+            for picks in product(*(v.items() for v in vectors)):
+                row, value = 0, c
+                for i, s in picks:
+                    row, value = row * d + i, mul(value, s)
+                yield row, col, value
+    return TensorMap.from_entries(ring, d, in_arity, out_arity, entries())
+
+
 def adjoint_operator(mu: TensorMap, delta: TensorMap, antipode: TensorMap) -> TensorMap:
-    """x ox y -> y(1) ox S(y(2)) x y(3), assembled from structure maps.
+    """x ox y -> y(1) ox S(y(2)) x y(3), evaluated on basis inputs: for every
+    term c y1 ox y2 ox y3 of (Delta ox 1) Delta (y), column x ox y gains
+    c y1 ox A(y2, x, y3) with A(a, x, b) = S(a) x b.
 
     Works over truncated rings too, which is how Psi is extracted from a
     deformed Hopf structure.
     """
     ring, d = mu.field, mu.dim
     one = identity_map(ring, d, 1)
-    delta2 = compose(delta.tensor(one), delta)
-    mu2 = compose(mu, mu.tensor(one))
-    sigma = TensorMap.permutation(ring, d, 4, [1, 2, 0, 3])
-    return compose(one.tensor(mu2), one.tensor(antipode).tensor(one).tensor(one),
-                   sigma, one.tensor(delta2))
+    act = compose(mu, mu.tensor(one), antipode.tensor(one).tensor(one)).to_sparse_data()
+    unit = ring.one
+    return _evaluate(ring, d, 2, 2, (
+        (x * d + y, c, ({y1: unit}, act.get((y2 * d + x) * d + y3, {})))
+        for y, terms in enumerate(_coproduct_terms(delta))
+        for y1, y2, y3, c in terms for x in range(d)))
 
 
 def adjoint_yb(h: HopfAlgebra):
     """The adjoint YB operator of a verified Hopf algebra, YBE-checked."""
-    from .braided import YangBaxterOperator
     h.require()
-    r = adjoint_operator(h.mu, h.delta, h.antipode)
-    op = YangBaxterOperator(h.field, h.dim, r)
+    op = YangBaxterOperator(h.field, h.dim, adjoint_operator(h.mu, h.delta, h.antipode))
     res = op.check_yb()
     if not res.ok:
         raise InternalCheckError(f"adjoint operator fails the YBE at {res.witness}")
@@ -165,11 +208,10 @@ def adjoint_yb(h: HopfAlgebra):
 
 
 def braided_from_hopf(h: HopfAlgebra) -> BraidedAlgebra:
-    """(H, mu, R_H) as a braided algebra; braided-ness is a theorem here."""
-    op = adjoint_yb(h)
-    b = braided_algebra(h.field, h.dim, h.mu, op.r, unit=h.eta,
-                        labels=list(h.labels), require=False)
-    return assert_braided(b, "adjoint braided algebra")
+    """(H, mu, R_H) as a braided algebra on h's own (mu, eta), so the
+    associativity and YBE verdicts are not computed again; braided-ness is
+    a theorem here."""
+    return assert_braided(BraidedAlgebra(h.algebra, adjoint_yb(h)), "adjoint braided algebra")
 
 
 # ---------------------------------------------------------------- integrals and Frobenius
@@ -213,13 +255,30 @@ def find_left_integral(h: HopfAlgebra) -> LeftIntegral:
     return LeftIntegral(functional=sols[0], rank=len(basis), basis=sols)
 
 
+def frobenius_operator(mu: TensorMap, delta: TensorMap, antipode: TensorMap) -> TensorMap:
+    """R on V = X ox X: (x ox y) ox (z ox w) -> (z(1) ox w(1)) ox
+    (T(x, z(2), w(2)) ox T(y, z(3), w(3))) with T(x, y, z) = x S(y) z,
+    evaluated on basis inputs from the iterated coproduct and the columns
+    of T, so it never passes through X^8."""
+    ring, d = mu.field, mu.dim
+    one = identity_map(ring, d, 1)
+    t_map = compose(mu, mu.tensor(one), one.tensor(antipode).tensor(one)).to_sparse_data()
+    terms = _coproduct_terms(delta)
+    unit, mul = ring.one, ring.mul
+    return _evaluate(ring, d, 4, 4, (
+        (((x * d + y) * d + z) * d + w, mul(cz, cw),
+         ({z1: unit}, {w1: unit}, t_map.get((x * d + z2) * d + w2, {}),
+          t_map.get((y * d + z3) * d + w3, {})))
+        for x, y, z, w in product(range(d), repeat=4)
+        for z1, z2, z3, cz in terms[z] for w1, w2, w3, cw in terms[w])).with_shape(d * d, 2, 2)
+
+
 def braided_frobenius(h: HopfAlgebra) -> BraidedAlgebra:
     """Braided Frobenius algebra on V = X ox X from a commutative and
     cocommutative Hopf algebra X.
 
-    mu_V = 1 ox cup ox 1 with cup = lam mu (1 ox S), and R sends
-    (x ox y) ox (z ox w) to (z(1) ox w(1)) ox T(x, z(2), w(2)) ox
-    T(y, z(3), w(3)) with T(x, y, z) = x S(y) z.
+    mu_V = 1 ox cup ox 1 with cup = lam mu (1 ox S), and R is
+    frobenius_operator(mu, Delta, S).
     """
     h.require()
     if not (h.flags["commutative"] and h.flags["cocommutative"]):
@@ -232,15 +291,7 @@ def braided_frobenius(h: HopfAlgebra) -> BraidedAlgebra:
     one = identity_map(f, d, 1)
     cup = compose(integral.functional, h.mu, one.tensor(h.antipode))
     mu_v = one.tensor(cup).tensor(one).with_shape(d * d, 2, 1)
-
-    t_map = compose(h.mu, h.mu.tensor(one), one.tensor(h.antipode).tensor(one))
-    delta2 = h.iterated_coproduct()
-    spread = one.tensor(one).tensor(delta2).tensor(delta2)  # X^4 -> X^8
-    # inputs x y z1 z2 z3 w1 w2 w3  ->  z1 w1 x z2 w2 y z3 w3
-    shuffle = TensorMap.permutation(f, d, 8, [2, 5, 0, 3, 6, 1, 4, 7])
-    collect = one.tensor(one).tensor(t_map).tensor(t_map)  # X^8 -> X^4
-    r_v = compose(collect, shuffle, spread).with_shape(d * d, 2, 2)
-
+    r_v = frobenius_operator(h.mu, h.delta, h.antipode)
     labels = [f"{a}|{b}" for a in h.labels for b in h.labels]
     out = braided_algebra(f, d * d, mu_v, r_v, labels=labels, require=False)
     return assert_braided(out, "braided Frobenius algebra")

@@ -16,9 +16,12 @@ def test_compare_reports_same_tree_is_byte_identical(tmp_path):
     # one fixture, the same tree on both sides, in-process
     tool = _tool()
     fields = {"F2": tool.FIELDS["F2"]}
-    codes = tool.write_reports(tmp_path / "a", ["z2_adjoint"], fields, selftest=False)
-    tool.write_reports(tmp_path / "b", ["z2_adjoint"], fields, selftest=False)
+    specs = {"mcq": tool.SPECS["mcq"]}
+    codes = tool.write_reports(tmp_path / "a", ["z2_adjoint"], fields, selftest=False,
+                               specs=specs)
+    tool.write_reports(tmp_path / "b", ["z2_adjoint"], fields, selftest=False, specs=specs)
     assert tool.diff_dirs(tmp_path / "a", tmp_path / "b") == []
+    assert codes["spec-mcq-F2.algebra.json"] == codes["spec-mcq-F2.check.json"] == 0
     # z2_adjoint over F2 has cocycles that extend and ones that do not
     assert {codes[n] for n in codes if ".extend" in n} == {0, 1}
     assert codes["z2_adjoint-F2.cohomology3.json"] == 0

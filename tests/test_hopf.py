@@ -2,14 +2,18 @@ from fractions import Fraction
 
 import pytest
 
+from ybh import braided, hopf
+from ybh.braided import braided_multiplication
 from ybh.cohomology import delta1, differential_matrix, flatten2
 from ybh.constructions import FiniteGroup, from_heap
-from ybh.errors import InputError, ValidationError
-from ybh.hopf import (HopfAlgebra, HopfTwoCochain, adjoint_yb,
+from ybh.errors import InputError, InternalCheckError, ValidationError
+from ybh.fixtures import build_fixture
+from ybh.hopf import (HopfAlgebra, HopfTwoCochain, adjoint_operator, adjoint_yb,
                       antipode_correction, braided_frobenius, braided_from_hopf,
                       check_hopf_2cocycle, check_normalized, dual_numbers_hopf,
-                      find_left_integral, group_hopf, hopf_coboundary,
-                      is_hopf_2cocycle, normalized_cocycle_basis, psi_map)
+                      find_left_integral, frobenius_operator, group_hopf,
+                      hopf_coboundary, is_hopf_2cocycle, normalized_cocycle_basis,
+                      psi_map)
 from ybh.linalg import in_span
 from ybh.rng import SplitMix64
 from ybh.scalars import GF, QQ, TruncatedRing
@@ -72,6 +76,133 @@ def test_lemma_composites_for_adjoint():
     one = identity_map(GF(5), 6, 1)
     lhs = compose(b.mu.tensor(one), one.tensor(b.r), b.r.tensor(one))
     assert lhs == compose(b.r, one.tensor(b.mu))
+
+
+# Reference routes, independent of the direct evaluation in hopf.py: the same
+# structure maps as composites of maps between tensor powers.
+
+def _composite_adjoint(mu, delta, antipode):
+    """(1 ox mu(mu ox 1)) (1 ox S ox 1 ox 1) sigma (1 ox Delta^2) through V^4,
+    sigma moving x past y(1) ox y(2)."""
+    ring, d = mu.field, mu.dim
+    one = identity_map(ring, d, 1)
+    delta2 = compose(delta.tensor(one), delta)
+    mu2 = compose(mu, mu.tensor(one))
+    sigma = TensorMap.permutation(ring, d, 4, [1, 2, 0, 3])
+    return compose(one.tensor(mu2), one.tensor(antipode).tensor(one).tensor(one),
+                   sigma, one.tensor(delta2))
+
+
+def _composite_frobenius_r(mu, delta, antipode):
+    """R_V through X^8: spread both coproducts, shuffle, collect with T."""
+    f, d = mu.field, mu.dim
+    one = identity_map(f, d, 1)
+    t_map = compose(mu, mu.tensor(one), one.tensor(antipode).tensor(one))
+    delta2 = compose(delta.tensor(one), delta)
+    spread = one.tensor(one).tensor(delta2).tensor(delta2)  # X^4 -> X^8
+    # inputs x y z1 z2 z3 w1 w2 w3  ->  z1 w1 x z2 w2 y z3 w3
+    shuffle = TensorMap.permutation(f, d, 8, [2, 5, 0, 3, 6, 1, 4, 7])
+    collect = one.tensor(one).tensor(t_map).tensor(t_map)  # X^8 -> X^4
+    return compose(collect, shuffle, spread).with_shape(d * d, 2, 2)
+
+
+_Z2, _Z3 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(3)
+_Z2Z2 = FiniteGroup.direct_product(_Z2, _Z2)
+_HOPF = {"Z2-Q": lambda: group_hopf(_Z2, QQ),
+         "Z3-F3": lambda: group_hopf(_Z3, GF(3)),
+         "Z3-Q": lambda: group_hopf(_Z3, QQ),
+         "Z2xZ2-F101": lambda: group_hopf(_Z2Z2, GF(101)),
+         "dual-F2": lambda: dual_numbers_hopf(GF(2))}
+
+
+@pytest.mark.parametrize("name", [*_HOPF, "S3-Q", "S3-F2"])
+def test_adjoint_operator_matches_composite(name):
+    s3 = {"S3-Q": QQ, "S3-F2": GF(2)}
+    h = group_hopf(FiniteGroup.symmetric(3), s3[name]) if name in s3 else _HOPF[name]()
+    r = adjoint_operator(h.mu, h.delta, h.antipode)
+    assert r == _composite_adjoint(h.mu, h.delta, h.antipode)
+    assert braided_from_hopf(h).r == r
+
+
+@pytest.mark.parametrize("name", list(_HOPF))
+def test_frobenius_r_matches_composite(name):
+    h = _HOPF[name]()
+    maps = (h.mu, h.delta, h.antipode)
+    assert braided_frobenius(h).r == frobenius_operator(*maps) == _composite_frobenius_r(*maps)
+
+
+def _random_parts(h, rng):
+    """Arbitrary (mu, Delta, S)-shaped maps: both routes evaluate one formula,
+    and on non-cocommutative inputs every Sweedler slot is told apart."""
+    return [random_map(h.field, h.dim, m.in_arity, m.out_arity, rng, span=3)
+            for m in (h.mu, h.delta, h.antipode)]
+
+
+@pytest.mark.parametrize("field", [GF(5), QQ], ids=["F5", "Q"])
+def test_operators_on_arbitrary_maps_match_composites(field):
+    rng = SplitMix64(29)
+    h = group_hopf(_Z2, field)
+    for _ in range(3):
+        parts = _random_parts(h, rng)
+        assert adjoint_operator(*parts) == _composite_adjoint(*parts)
+        assert frobenius_operator(*parts) == _composite_frobenius_r(*parts)
+
+
+@pytest.mark.parametrize("base", [GF(5), QQ], ids=["F5", "Q"])
+def test_adjoint_operator_over_truncated_ring_matches_composite(base):
+    # dense over F5[hbar]/(hbar^2), sparse over Q[hbar]/(hbar^2)
+    rng = SplitMix64(23)
+    h = group_hopf(FiniteGroup.symmetric(3) if base is QQ else _Z3, base)
+    ring = TruncatedRing(base, 2)
+    parts = [truncated_from_parts(ring, [m, p])
+             for m, p in zip((h.mu, h.delta, h.antipode), _random_parts(h, rng))]
+    r = adjoint_operator(*parts)
+    assert r.field is ring
+    assert r == _composite_adjoint(*parts)
+
+
+def _spy(monkeypatch, names):
+    """Count calls of the braided module's axiom defects."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def spy(*args, _real=getattr(braided, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(braided, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["s3_adjoint", "mat2_trivial", "z2_adjoint"])
+def test_fixture_construction_runs_each_axiom_once(monkeypatch, name):
+    calls = _spy(monkeypatch, ["assoc_defect", "yb_defect", "yi_defect", "iy_defect"])
+    once = dict.fromkeys(calls, 1)
+    b = build_fixture(name, GF(101))
+    assert calls == once
+    assert all(c.ok for c in b.all_checks())  # cached verdicts
+    assert calls == once
+
+
+def test_braided_multiplication_reuses_the_yb_verdict(monkeypatch):
+    b = build_fixture("s3_adjoint", QQ)
+    calls = _spy(monkeypatch, ["assoc_defect", "yb_defect"])
+    out = braided_multiplication(b, 2)
+    assert out.yb is b.yb
+    assert calls == {"assoc_defect": 1, "yb_defect": 0}
+
+
+@pytest.mark.parametrize("fault,message", [("not-yb", "YBE"), ("twice", "yi")])
+def test_broken_adjoint_operator_is_an_internal_error(monkeypatch, fault, message):
+    real = hopf.adjoint_operator
+
+    def broken(mu, delta, antipode):
+        r = real(mu, delta, antipode)
+        if fault == "twice":  # 2R still solves the YBE but breaks YI
+            return r.scale(r.field.add(r.field.one, r.field.one))
+        return r + TensorMap.from_entries(r.field, r.dim, 2, 2, [(0, 1, r.field.one)])
+
+    monkeypatch.setattr(hopf, "adjoint_operator", broken)
+    with pytest.raises(InternalCheckError, match=message):
+        braided_from_hopf(group_hopf(FiniteGroup.symmetric(3), GF(5)))
 
 
 def test_find_left_integral_group_algebra():

@@ -178,6 +178,55 @@ def test_cli_construct_fixture_and_input(tmp_path, capsys):
     assert main(["construct", "--fixture", "nope"]) == 2
 
 
+@pytest.mark.parametrize("spec", [
+    {"construction": "heap", "group": 5},
+    [1, 2],
+    {"construction": "adjoint", "group": [["x"]]},
+    {"construction": "mcq", "components": 5},
+    {"construction": "mcq", "components": [[[0]]], "star": 5},
+], ids=["group-not-a-table", "spec-not-an-object", "entry-not-an-int",
+        "components-not-a-list", "star-not-a-table"])
+def test_cli_construct_malformed_spec_exits_2(tmp_path, capsys, spec):
+    sfile = tmp_path / "spec.json"
+    sfile.write_text(json.dumps(spec))
+    _assert_input_error(capsys, ["construct", "--input", str(sfile)])
+
+
+def _cyclic_table(n):
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def test_cli_construct_dimension_guard(tmp_path, capsys, monkeypatch):
+    # the guard reads the output dimension off the spec before any table is
+    # validated: n^2 for frobenius and heap, n for adjoint, sum of orders for mcq
+    def no_group(table):
+        raise AssertionError("FiniteGroup ran before the guard")
+
+    specs = {"frobenius": {"construction": "frobenius", "group": _cyclic_table(5)},
+             "adjoint": {"construction": "adjoint", "group": [[0] * 17] * 17},
+             "mcq": {"construction": "mcq", "components": [_cyclic_table(9)] * 2}}
+    monkeypatch.delenv("YBH_MAX_DIM", raising=False)
+    with monkeypatch.context() as m:
+        m.setattr("ybh.cli.FiniteGroup", no_group)
+        for name, spec in specs.items():
+            sfile = tmp_path / f"{name}.json"
+            sfile.write_text(json.dumps(spec))
+            assert main(["construct", "--input", str(sfile)]) == 2, name
+            err = capsys.readouterr().err
+            assert err.startswith("resource guard: ") and "Traceback" not in err, name
+    # YBH_MAX_DIM overrides the bound for specs and fixtures alike
+    sfile = tmp_path / "heap.json"
+    sfile.write_text(json.dumps({"construction": "heap", "group": _cyclic_table(3)}))
+    monkeypatch.setenv("YBH_MAX_DIM", "8")
+    for argv in (["--input", str(sfile)], ["--fixture", "heap_z3"]):
+        assert main(["construct", *argv]) == 2
+        assert capsys.readouterr().err.startswith("resource guard: ")
+    monkeypatch.setenv("YBH_MAX_DIM", "9")
+    for argv in (["--input", str(sfile)], ["--fixture", "heap_z3"]):
+        assert main(["construct", *argv, "--field", "prime", "--prime", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["dim"] == 9
+
+
 def test_cli_selftest_deterministic(tmp_path, capsys):
     args = ["selftest", "--seed", "11", "--prime", "13", "--trials", "3",
             "--max-dim", "2"]

@@ -10,13 +10,17 @@ difference or when a side fails, 2 on bad arguments.  The temporary
 directory is removed when every file is byte-identical; otherwise it is kept
 and its path printed.
 
-The report set, for every fixture with d <= 4 over Q, F2 and F101:
+The report set, over Q, F2 and F101:
 
-* construct, check and cohomology --degree 2 --basis;
-* deform --extend of every Z^2 basis cocycle;
-* deform --series of each cocycle's order-1 series, or of its order-2
-  series when the extension succeeds;
-* cohomology --degree 3 when d <= 3;
+* for every fixture: construct and check;
+* for every fixture with d <= 4, also cohomology --degree 2 --basis,
+  deform --extend of every Z^2 basis cocycle, and deform --series of each
+  cocycle's order-1 series, or of its order-2 series when the extension
+  succeeds; cohomology --degree 3 when d <= 3;
+* for one construct --input spec per construction kind (SPECS: the MCQ
+  Z/2 u Z/3, the heap rack of Z/2 x Z/2, the adjoint braiding of S3, the
+  braided Frobenius algebra of Z/4 and the transposition braiding on
+  k[S3]; d = 5 to 16): construct and check;
 
 plus selftest --trials 20 for primes 2 and 101, with and without
 --max-dim 2.  The exit code of every command goes to exit_codes.json, which
@@ -30,6 +34,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from itertools import permutations
 from pathlib import Path
 
 FIELDS = {"Q": ["--field", "q"],
@@ -37,10 +42,27 @@ FIELDS = {"Q": ["--field", "q"],
           "F101": ["--field", "prime", "--prime", "101"]}
 
 
-def write_reports(out: Path, fixture_names=None, fields=FIELDS, selftest=True) -> dict:
+def _cyclic(n):
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+# S3 as permutations of (0, 1, 2) in lexicographic order, (pq)(i) = q(p(i))
+_S3_ELEMENTS = sorted(permutations(range(3)))
+_S3 = [[_S3_ELEMENTS.index(tuple(q[p[i]] for i in range(3))) for q in _S3_ELEMENTS]
+       for p in _S3_ELEMENTS]
+
+SPECS = {"mcq": {"construction": "mcq", "components": [_cyclic(2), _cyclic(3)]},
+         "heap": {"construction": "heap", "group": [[a ^ b for b in range(4)]
+                                                    for a in range(4)]},
+         "adjoint": {"construction": "adjoint", "group": _S3},
+         "frobenius": {"construction": "frobenius", "group": _cyclic(4)},
+         "trivial": {"construction": "trivial", "group": _S3}}
+
+
+def write_reports(out: Path, fixture_names=None, fields=FIELDS, selftest=True,
+                  specs=SPECS) -> dict:
     """Write the report set of the ybh package on sys.path into out; return
-    {file name: exit code}.  fixture_names defaults to every fixture with
-    d <= 4."""
+    {file name: exit code}.  fixture_names defaults to every fixture."""
     from ybh import cli, fixtures
     from ybh.serialize import SCHEMA
 
@@ -56,12 +78,20 @@ def write_reports(out: Path, fixture_names=None, fields=FIELDS, selftest=True) -
         (out / name).write_text(json.dumps(doc, sort_keys=True))
         return str(out / name)
 
-    for fx in fixture_names or fixtures.fixture_names(max_dim=4):
+    for tag, field_args in fields.items():
+        for kind, spec in specs.items():
+            stem = f"spec-{kind}-{tag}"
+            run(f"{stem}.algebra.json", "construct", "--input",
+                put(f"{stem}.spec.json", spec), *field_args)
+            run(f"{stem}.check.json", "check", str(out / f"{stem}.algebra.json"))
+    for fx in fixture_names or fixtures.fixture_names():
         for tag, field_args in fields.items():
             stem = f"{fx}-{tag}"
             algebra = run(f"{stem}.algebra.json", "construct", "--fixture", fx, *field_args)
             doc = str(out / f"{stem}.algebra.json")
             run(f"{stem}.check.json", "check", doc)
+            if fixtures.FIXTURES[fx]["dim"] > 4:
+                continue
             report = run(f"{stem}.cohomology2.json", "cohomology", doc, "--degree", "2",
                          "--basis")
             if fixtures.FIXTURES[fx]["dim"] <= 3:
