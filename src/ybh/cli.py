@@ -286,7 +286,7 @@ def cmd_selftest(args) -> int:
 
     for name in fixtures.fixture_names(max_dim=max_dim):
         b = fixtures.build_fixture(name, field)
-        slice_ = ComplexSlice.build(b, check_d3=(b.dim <= 3))
+        slice_ = ComplexSlice.build(b, check_d3=(b.dim <= 3), max_dim=max_dim)
         record(f"chain-d2d1/{name}", slice_.d2.matmul(slice_.d1).is_zero())
         ok = True
         for _ in range(args.trials):
@@ -300,7 +300,7 @@ def cmd_selftest(args) -> int:
                                 random_map(field, b.dim, 2, 1, rng))
                 ok = ok and delta3(b, delta2(b, c)).is_zero()
             record(f"chain-d3d2/{name}", ok)
-            cocycles = cocycle_basis(b)
+            cocycles = cocycle_basis(b, max_dim=max_dim)
             ok = all(obstruction_is_cocycle(b, c) for c in cocycles)
             record(f"obstruction-cocycle/{name}", ok,
                    detail=f"{len(cocycles)} kernel cocycles")
@@ -368,7 +368,9 @@ def main(argv=None) -> int:
     try:
         code = args.fn(args)
     except ResourceLimitError as exc:
-        print(f"resource guard: {exc}", file=sys.stderr)
+        # name only the switches this command has
+        switches = "--max-dim / YBH_MAX_DIM" if "max_dim" in vars(args) else "YBH_MAX_DIM"
+        print(f"resource guard: {exc}; raise {switches} to opt in", file=sys.stderr)
         return _EXIT_INPUT
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -523,8 +523,7 @@ def _guard(d: int, max_dim: int | None, default: int, what: str):
     bound = default if max_dim is None else max_dim
     if d > bound:
         raise ResourceLimitError(
-            f"{what} at dimension {d} exceeds the bound {bound}; "
-            f"raise --max-dim / YBH_MAX_DIM to opt in")
+            f"{what} at dimension {d} exceeds the bound {bound}")
 
 
 # ---------------------------------------------------------------- bases and dimensions

@@ -40,7 +40,8 @@ class ValidationError(InputError):
 
 
 class ResourceLimitError(InputError):
-    """Dimension guard tripped; rerun with a higher --max-dim or YBH_MAX_DIM."""
+    """Dimension guard tripped: d exceeds the caller's max_dim, or the
+    default bound when none is given."""
 
 
 class InternalCheckError(YbhError):

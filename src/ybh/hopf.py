@@ -48,6 +48,7 @@ class HopfAlgebra:
         self.antipode = antipode
         self._checks: list | None = None
         self._flags: dict | None = None
+        self._braided: BraidedAlgebra | None = None
 
     @property
     def mu(self) -> TensorMap:
@@ -210,8 +211,12 @@ def adjoint_yb(h: HopfAlgebra):
 def braided_from_hopf(h: HopfAlgebra) -> BraidedAlgebra:
     """(H, mu, R_H) as a braided algebra on h's own (mu, eta), so the
     associativity and YBE verdicts are not computed again; braided-ness is
-    a theorem here."""
-    return assert_braided(BraidedAlgebra(h.algebra, adjoint_yb(h)), "adjoint braided algebra")
+    a theorem here.  Built and verified once per Hopf algebra and kept on h
+    (write-once; h's maps are immutable)."""
+    if h._braided is None:
+        h._braided = assert_braided(BraidedAlgebra(h.algebra, adjoint_yb(h)),
+                                    "adjoint braided algebra")
+    return h._braided
 
 
 # ---------------------------------------------------------------- integrals and Frobenius

@@ -13,7 +13,9 @@ holds the hbar^j coefficients over F_p[hbar]/(hbar^order); over F_p itself
 order is 1.  A scalar is the coefficient tuple of one cell, or its single
 element over a field.  Dense compose, tensor and scale are one truncated
 Cauchy product of stacks (_cauchy), so a truncated ring is no special case.
-One rule decides between the layouts, "dense in, dense out":
+numpy is imported inside the dense branches, so a process whose maps all
+stay sparse (every map over Q, say) never loads it.  One rule decides
+between the layouts, "dense in, dense out":
 
 * dense storage is created only by random_map over a plain prime field and
   by truncated_from_parts over a prime base;
@@ -42,8 +44,6 @@ field.sub where both have an entry, v or field.neg(v) where only b has one).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .errors import ArityError, InputError
 from .scalars import PrimeField, TruncatedRing, base_of
@@ -104,6 +104,7 @@ def _cauchy(op, a, b, p: int) -> np.ndarray:
     sum_{i+j=k} op(a[i], b[j]) mod p, over the len(b) layers of b.  op takes
     residues in [0, p) and returns integers below p^2 (matrix product mod p,
     Kronecker product, scalar multiple), so no partial sum overflows."""
+    import numpy as np
     layers = []
     for k in range(len(b)):
         acc = op(a[0], b[k]) % p
@@ -197,6 +198,7 @@ class TensorMap:
     def to_sparse_data(self) -> dict:
         if self._rep == "sparse":
             return self._data
+        import numpy as np
         rs, cs = np.nonzero(self._data.any(axis=0))
         data = {}
         for r, c, v in zip(rs.tolist(), cs.tolist(),
@@ -213,6 +215,7 @@ class TensorMap:
     def _as_dense(self) -> "TensorMap":
         if self._rep == "dense":
             return self
+        import numpy as np
         coefficients, p = _coefficients(self.field), self._prime()
         layers = len(coefficients(self.field.zero))
         data = np.zeros((layers, self.rows, self.cols), dtype=np.int64)
@@ -316,6 +319,7 @@ class TensorMap:
         k = self.out_arity + other.out_arity
         cells = self.rows * other.rows * self.cols * other.cols
         if self._dense_with(other, cells):
+            import numpy as np
             out = _cauchy(np.kron, self._as_dense()._data, other._as_dense()._data,
                           self._prime())
             return TensorMap(self.field, self.dim, n, k, "dense", out)
@@ -384,6 +388,7 @@ class TensorMap:
         if field.is_zero(s):
             return TensorMap.zero(field, self.dim, self.in_arity, self.out_arity)
         if self._rep == "dense":
+            import numpy as np
             p = self._prime()
             out = _cauchy(np.multiply, [x % p for x in _coefficients(field)(s)],
                           self._data, p)
@@ -470,6 +475,7 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     limb product cuts the inner dimension into blocks of at most
     2^53 // (limb bound * (p-1)) columns, reduced before they are added, so
     every partial sum is an integer of at most 2^53 and exact."""
+    import numpy as np
     bits = (p - 1).bit_length()
     width = bits if (p - 1) ** 2 < 1 << 53 else 16
     mask = (1 << width) - 1
@@ -572,6 +578,7 @@ def truncated_from_parts(ring: TruncatedRing, parts) -> TensorMap:
                              f"in a ring over {ring.base!r}")
     (d, n, k), = shapes
     if _is_prime_based(ring) and d ** (k + n) <= _DENSE_CELLS:
+        import numpy as np
         data = np.zeros((ring.order, d ** k, d ** n), dtype=np.int64)
         for j, t in enumerate(parts):
             if t is not None:
@@ -605,6 +612,7 @@ def random_map(field, d: int, n: int, k: int, rng, span: int = 9) -> TensorMap:
     otherwise."""
     rows, cols = d ** k, d ** n
     if isinstance(field, PrimeField) and rows * cols <= _DENSE_CELLS:
+        import numpy as np
         data = [field.random(rng) for _ in range(rows * cols)]
         return TensorMap(field, d, n, k, "dense",
                          np.array(data, dtype=np.int64).reshape(1, rows, cols))

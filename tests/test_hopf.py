@@ -360,6 +360,25 @@ def test_psi_map_zero_and_coboundary():
             assert pair.psi == c.xi
 
 
+def test_psi_map_verifies_the_adjoint_braiding_once(monkeypatch):
+    calls = []
+    real = braided.yb_defect
+
+    def spy(r):
+        calls.append(r)
+        return real(r)
+
+    monkeypatch.setattr(braided, "yb_defect", spy)
+    h = group_hopf(FiniteGroup.cyclic(3), GF(7))
+    zero2 = HopfTwoCochain(TensorMap.zero(h.field, h.dim, 2, 1),
+                           TensorMap.zero(h.field, h.dim, 1, 2))
+    cochains = [zero2] + [hopf_coboundary(h, f) for f in _normalized_f_basis(h)[:2]]
+    for c in cochains:
+        psi_map(h, c)
+    assert len(calls) == 1
+    assert braided_from_hopf(h) is braided_from_hopf(h)
+
+
 def test_psi_of_coboundary_lands_in_ybh_coboundaries():
     h = group_hopf(FiniteGroup.cyclic(2), QQ)
     b = braided_from_hopf(h)

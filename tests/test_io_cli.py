@@ -380,6 +380,47 @@ def test_cli_guards_run_before_loading(tmp_path, capsys, monkeypatch):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "algebra.json"],
+    ["cohomology", "algebra.json"],
+    ["construct", "--fixture", "z2_adjoint"],
+    ["deform", "--series", "series.json"],
+    ["deform", "--extend", "cocycle.json"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_cli_guard_message_advice_lifts_the_guard(tmp_path, capsys, monkeypatch, argv):
+    b = build_fixture("z2_adjoint", QQ)
+    c = cocycle_basis(b)[0]
+    docs = {"algebra.json": algebra_to_json(b),
+            "series.json": series_to_json(series_from_cocycle(b, c)),
+            "cocycle.json": {"algebra": algebra_to_json(b), **cochain2_to_json(c)}}
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(canonical_json(doc))
+    argv = [str(tmp_path / a) if a in docs else a for a in argv]
+    monkeypatch.setenv("YBH_MAX_DIM", "1")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("resource guard: ") and err.rstrip().endswith(" to opt in")
+    switches = err.rsplit("; raise ", 1)[1].removesuffix(" to opt in\n").split(" / ")
+    assert switches == (["--max-dim", "YBH_MAX_DIM"] if argv[0] == "cohomology"
+                        else ["YBH_MAX_DIM"])
+    # follow the first switch named: each one is accepted and lifts the guard
+    if switches[0] == "--max-dim":
+        argv = argv + ["--max-dim", "2"]
+    else:
+        monkeypatch.setenv("YBH_MAX_DIM", "2")
+    assert main(argv) == 0
+    assert "resource guard" not in capsys.readouterr().err
+
+
+def test_cli_selftest_max_dim_bounds_every_guard(capsys, monkeypatch):
+    # selftest --max-dim admits fixtures up to that dimension, and every
+    # guard it runs (complex slice, cocycle basis) takes the same bound
+    monkeypatch.setattr("ybh.cohomology.MAX_DIM_DEGREE2", 1)
+    assert main(["selftest", "--trials", "1", "--max-dim", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["all_ok"] and "chain-d2d1/z2_adjoint" in [c["name"] for c in report["checks"]]
+
+
 def test_cli_selftest_max_dim_zero_is_kept(capsys):
     assert main(["selftest", "--trials", "1", "--max-dim", "0"]) == 0
     report = json.loads(capsys.readouterr().out)
