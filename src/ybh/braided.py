@@ -12,8 +12,9 @@ lexicographically first input basis tuple where the defect is nonzero, which
 makes failures reproducible and debuggable.
 
 The mirror involution conjugates every structure map by the tensor-factor
-reversal; it exchanges the YI and IY axioms and is how all IY-side formulas
-in the cohomology module are produced from their YI-side counterparts.
+reversal; it exchanges the YI and IY axioms.  The cohomology module applies
+the same rule to the rows of its degree-3 term table (mirror_terms); the
+tests keep mirror_map as that rule's oracle.
 """
 
 from __future__ import annotations

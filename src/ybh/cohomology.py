@@ -19,27 +19,29 @@ delta2 is the hbar coefficient of the four axiom defects of
 (mu + hbar psi, R + hbar phi) over k[hbar]/(hbar^2) (delta2_oracle).
 
 Degree 3 -> 4 writes into eight private summands of C^4, one per coherence
-loop.  Each degree-3 component is the linearization of a rewrite-loop
-identity: a cycle of axiom applications whose telescoping sum vanishes
-identically for arbitrary bilinear mu and arbitrary R (no axioms needed).
-That identity is re-verified by the test suite on random non-braided data;
-it implies both the chain property d3 o d2 = 0 and the vanishing of d3 on
-every degree-2 obstruction bundle.  The IY-side components are the YI-side
-ones conjugated by the tensor-reversal mirror.
+loop, and is one term table (D3_TERMS) read by one evaluator (sum_terms).
+Each degree-3 component is the linearization of a rewrite-loop identity: a
+cycle of axiom applications whose telescoping sum vanishes identically for
+arbitrary bilinear mu and arbitrary R (no axioms needed).  That identity is
+re-verified by the test suite on random non-braided data; it implies both
+the chain property d3 o d2 = 0 and the vanishing of d3 on every degree-2
+obstruction bundle.  The rows of three components are generated from their
+partners' rows by the tensor-reversal mirror (mirror_terms).
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
+from functools import reduce
 from itertools import accumulate
 from dataclasses import dataclass
 
-from .braided import (BraidedAlgebra, assoc_defect, iy_defect, mirror_map,
-                      yb_defect, yi_defect)
+from .braided import BraidedAlgebra, assoc_defect, iy_defect, yb_defect, yi_defect
 from .errors import InputError, ResourceLimitError
 from .linalg import ExactMatrix
 from .scalars import TruncatedRing
-from .tensor import (TensorMap, compose, identity_map, same_ring,
+from .tensor import (TensorMap, compose, identity_map, same_ring, tensor_product,
                      truncated_from_parts, truncated_part)
 
 MAX_DIM_DEGREE2 = 4
@@ -272,8 +274,8 @@ def _expect(t: TensorMap, n: int, k: int, what: str):
 
 def hochschild_differential(algebra, degree: int, cochain: TensorMap) -> TensorMap:
     """delta^n_H for n in 0..3; degree 2 carries the flipped overall sign
-    (positive left terms), degree 3 is the standard pentagon, and the two
-    conventions still compose to zero."""
+    (positive left terms), degree 3 is the standard pentagon (the pentagon
+    rows of D3_TERMS), and the two conventions still compose to zero."""
     c = cochain
     if degree == 1:
         _expect(c, 1, 1, "degree-1 cochain")
@@ -285,16 +287,13 @@ def hochschild_differential(algebra, degree: int, cochain: TensorMap) -> TensorM
         return compose(mu, c.tensor(one)) + compose(c, mu1) \
             - compose(mu, one.tensor(c)) - compose(c, mu2)
     mu = _mu_of(algebra)
-    one = identity_map(mu.field, mu.dim, 1)
     if degree == 0:
         _expect(c, 0, 1, "degree-0 cochain")
+        one = identity_map(mu.field, mu.dim, 1)
         return compose(mu, one.tensor(c)) - compose(mu, c.tensor(one))
     if degree == 3:
         _expect(c, 3, 1, "degree-3 cochain")
-        one2 = identity_map(mu.field, mu.dim, 2)
-        return compose(mu, one.tensor(c)) - compose(c, mu.tensor(one2)) \
-            + compose(c, one.tensor(mu).tensor(one)) - compose(c, one2.tensor(mu)) \
-            + compose(mu, c.tensor(one))
+        return sum_terms(D3_TERMS["pentagon"], {"m": mu, "g": c})
     raise InputError(f"Hochschild differential defined for degrees 0..3, got {degree}")
 
 
@@ -358,139 +357,124 @@ def delta2(b: BraidedAlgebra, c: YBH2Cochain) -> YBH3Cochain:
                        gamma=hochschild_differential(b, 2, c.psi))
 
 
-# ---------------------------------------------------------------- degree 3 components
+# ---------------------------------------------------------------- degree 3
 #
-# Each component below is the defect-slot linearization of a rewrite loop.
-# Substituting the actual axiom defects of an arbitrary (mu, R) for the
-# cochain slots makes every component vanish identically; the test suite
-# pins exactly that identity.
+# delta3 is one term table, D3_TERMS, keyed by the C^4 summand names.  A row
+# (sign, lifts) is the term sign * lift_0 o lift_1 o ... (the last lift is
+# applied first).  A lift is a word of strand tokens tensored left to right:
+# "1" the identity strand, "m" mu, "R" R, and exactly one cochain slot per
+# term: "b" beta, "a" alpha_yi, "A" alpha_iy, "g" gamma.  Each component's
+# rows are the defect-slot linearization of a rewrite loop: with the axiom
+# defects of an arbitrary (mu, R) in the slots they sum to zero identically,
+# which the test suite and tools/pin_degree3.py pin.
 
-# Four-strand Yang-Baxter coherence loop: a cycle of braid-relation and
-# far-commutation rewrites on six-crossing words over R1, R2, R3.  Each
-# entry is (sign, word_after, strand, word_before): the term is
-# sign * op(word_after) o ins_strand(beta) o op(word_before), with words
-# listed in application order and ins_1 = beta ox 1, ins_2 = 1 ox beta.
-# Generated and verified by tools/pin_degree3.py.
-YB4_LOOP_TERMS = [
-    (+1, (3, 2, 1), 1, ()),
-    (+1, (1,), 2, (2, 1)),
-    (+1, (3,), 1, (2, 3)),
-    (+1, (1, 2, 3), 2, ()),
-    (-1, (), 2, (3, 2, 1)),
-    (-1, (3, 2), 1, (3,)),
-    (-1, (1, 2), 2, (1,)),
-    (-1, (), 1, (1, 2, 3)),
-]
+_D3_LOOPS = {
+    # Four-strand Yang-Baxter coherence: the eight braid-relation moves of a
+    # cycle through the six-crossing words (found by tools/pin_degree3.py).
+    "yb": (
+        (+1, ("R11", "1R1", "11R", "b1")),
+        (+1, ("R11", "1b", "R11", "1R1")),
+        (+1, ("11R", "b1", "11R", "1R1")),
+        (+1, ("11R", "1R1", "R11", "1b")),
+        (-1, ("1b", "R11", "1R1", "11R")),
+        (-1, ("1R1", "11R", "b1", "11R")),
+        (-1, ("1R1", "R11", "1b", "R11")),
+        (-1, ("b1", "11R", "1R1", "R11")),
+    ),
+    # A product of two strands slides through a three-strand braiding, IY side.
+    "slide_iy": (
+        (+1, ("1R", "A1", "11R")),
+        (+1, ("1A", "R11", "1R1", "11R")),
+        (+1, ("11m", "1R1", "R11", "1b")),
+        (+1, ("11m", "b1", "11R", "1R1")),
+        (-1, ("b", "m11")),
+        (-1, ("R1", "1R", "A1")),
+        (-1, ("R1", "1A", "R11", "1R1")),
+    ),
+    # A triple product crosses one strand, resolved before or after
+    # reassociating, IY side.
+    "assoc_iy": (
+        (+1, ("A", "1m1")),
+        (+1, ("1m", "R1", "1A")),
+        (+1, ("1g", "R11", "1R1", "11R")),
+        (-1, ("A", "m11")),
+        (-1, ("1m", "A1", "11R")),
+        (-1, ("R", "g1")),
+    ),
+    # A product crosses a product; the two resolutions start with the YI or
+    # the IY axiom and meet after three moves each.
+    "prod_yi": (
+        (+1, ("a", "m11")),
+        (+1, ("m1", "1R", "A1")),
+        (+1, ("m1", "1A", "R11", "1R1")),
+        (-1, ("A", "11m")),
+        (-1, ("1m", "R1", "1a")),
+        (-1, ("1m", "a1", "11R", "1R1")),
+    ),
+    # The associativity pentagon: the Hochschild coboundary of gamma.
+    "pentagon": (
+        (+1, ("m", "1g")),
+        (-1, ("g", "m11")),
+        (+1, ("g", "1m1")),
+        (-1, ("g", "11m")),
+        (+1, ("m", "g1")),
+    ),
+}
 
-
-def _word_op(r: TensorMap, word) -> TensorMap:
-    one = identity_map(r.field, r.dim, 1)
-    gens = {1: r.tensor(one).tensor(one),
-            2: one.tensor(r).tensor(one),
-            3: one.tensor(one).tensor(r)}
-    out = identity_map(r.field, r.dim, 4)
-    for g in word:
-        out = gens[g].compose(out)
-    return out
-
-
-def d3_yb_raw(r: TensorMap, beta: TensorMap) -> TensorMap:
-    _expect(beta, 3, 3, "beta")
-    one = identity_map(r.field, r.dim, 1)
-    ins = {1: beta.tensor(one), 2: one.tensor(beta)}
-    out = TensorMap.zero(r.field, r.dim, 4, 4)
-    for sign, after, strand, before in YB4_LOOP_TERMS:
-        term = compose(_word_op(r, after), ins[strand], _word_op(r, before))
-        out = out + term if sign > 0 else out - term
-    return out
-
-
-def d3_slide_iy_raw(mu: TensorMap, r: TensorMap,
-                    beta: TensorMap, alpha: TensorMap) -> TensorMap:
-    """Loop: a product of two strands slides through a three-strand braiding,
-    IY side.  Slots: beta in Hom(V^3,V^3), alpha in Hom(V^3,V^2)."""
-    _expect(beta, 3, 3, "beta")
-    _expect(alpha, 3, 2, "alpha")
-    one = identity_map(mu.field, mu.dim, 1)
-    one2 = identity_map(mu.field, mu.dim, 2)
-    r1, r2, r3 = r.tensor(one2), one.tensor(r).tensor(one), one2.tensor(r)
-    t1 = compose(one.tensor(r), alpha.tensor(one), r3)
-    t2 = compose(one.tensor(alpha), r1, r2, r3)
-    t3 = compose(one2.tensor(mu), r2, r1, one.tensor(beta))
-    t4 = compose(one2.tensor(mu), beta.tensor(one), r3, r2)
-    t5 = compose(beta, mu.tensor(one2))
-    t6 = compose(r.tensor(one), one.tensor(r), alpha.tensor(one))
-    t7 = compose(r.tensor(one), one.tensor(alpha), r1, r2)
-    return t1 + t2 + t3 + t4 - t5 - t6 - t7
-
-
-def d3_assoc_iy_raw(mu: TensorMap, r: TensorMap,
-                    alpha: TensorMap, gamma: TensorMap) -> TensorMap:
-    """Loop: a triple product crosses one strand, resolved either before or
-    after reassociating.  Slots: alpha in Hom(V^3,V^2) (IY shape), gamma in
-    Hom(V^3,V)."""
-    _expect(alpha, 3, 2, "alpha")
-    _expect(gamma, 3, 1, "gamma")
-    one = identity_map(mu.field, mu.dim, 1)
-    one2 = identity_map(mu.field, mu.dim, 2)
-    r1, r2, r3 = r.tensor(one2), one.tensor(r).tensor(one), one2.tensor(r)
-    return compose(alpha, one.tensor(mu).tensor(one)) \
-        + compose(one.tensor(mu), r.tensor(one), one.tensor(alpha)) \
-        + compose(one.tensor(gamma), r1, r2, r3) \
-        - compose(alpha, mu.tensor(one2)) \
-        - compose(one.tensor(mu), alpha.tensor(one), r3) \
-        - compose(r, gamma.tensor(one))
+# The YI/IY partner of each mixed loop is its mirror image.
+D3_MIRROR_PARTNERS = {"slide_yi": "slide_iy", "assoc_yi": "assoc_iy", "prod_iy": "prod_yi"}
+_SWAP_ALPHA = str.maketrans("aA", "Aa")
 
 
-def d3_prod_yi_raw(mu: TensorMap, r: TensorMap,
-                   alpha_yi: TensorMap, alpha_iy: TensorMap) -> TensorMap:
-    """Loop: a product crosses a product; the two resolutions start with the
-    YI or the IY axiom respectively and meet after three moves each."""
-    _expect(alpha_yi, 3, 2, "alpha_yi")
-    _expect(alpha_iy, 3, 2, "alpha_iy")
-    one = identity_map(mu.field, mu.dim, 1)
-    one2 = identity_map(mu.field, mu.dim, 2)
-    r1, r2, r3 = r.tensor(one2), one.tensor(r).tensor(one), one2.tensor(r)
-    return compose(alpha_yi, mu.tensor(one2)) \
-        + compose(mu.tensor(one), one.tensor(r), alpha_iy.tensor(one)) \
-        + compose(mu.tensor(one), one.tensor(alpha_iy), r1, r2) \
-        - compose(alpha_iy, one2.tensor(mu)) \
-        - compose(one.tensor(mu), r.tensor(one), one.tensor(alpha_yi)) \
-        - compose(one.tensor(mu), alpha_yi.tensor(one), r3, r2)
+def mirror_terms(rows) -> tuple:
+    """The rows of a component conjugated by tensor-factor reversal: every
+    word reversed and the two alpha slots exchanged.  Reversal also swaps
+    the two sides of the Yang-Baxter equation and of associativity, so rows
+    with a beta or gamma slot change sign; the YI and IY defects map onto
+    each other without one."""
+    return tuple((-sign if {"b", "g"} & set("".join(lifts)) else sign,
+                  tuple(word[::-1].translate(_SWAP_ALPHA) for word in lifts))
+                 for sign, lifts in rows)
 
 
-def d3_pentagon_raw(mu: TensorMap, gamma: TensorMap) -> TensorMap:
-    return hochschild_differential(mu, 3, gamma)
+D3_TERMS = {name: mirror_terms(_D3_LOOPS[D3_MIRROR_PARTNERS[name]])
+            if name in D3_MIRROR_PARTNERS else _D3_LOOPS[name] for name in C4_SUMMANDS}
+
+_STRAND_RUNS = re.compile("1+|.")
+
+
+def _lift(word: str, maps: dict) -> TensorMap:
+    """The tensor product of a word's tokens, left to right; a run of n
+    identity strands is one identity on V^n."""
+    some = next(iter(maps.values()))
+    return reduce(tensor_product, [
+        identity_map(some.field, some.dim, len(run)) if run[0] == "1" else maps[run]
+        for run in _STRAND_RUNS.findall(word)])
+
+
+def sum_terms(rows, maps: dict) -> TensorMap:
+    """The sum of a term table's rows, each token read from maps
+    ({"m": mu, "R": r, "b": beta, ...}); the lifts are built per term."""
+    total = None
+    for sign, lifts in rows:
+        term = compose(*(_lift(word, maps) for word in lifts))
+        if total is None:
+            total = term if sign > 0 else -term
+        else:
+            total = total + term if sign > 0 else total - term
+    return total
 
 
 def yb_differential_d3(b, beta: TensorMap) -> TensorMap:
-    return d3_yb_raw(_r_of(b), beta)
+    _expect(beta, 3, 3, "beta")
+    return sum_terms(D3_TERMS["yb"], {"R": _r_of(b), "b": beta})
 
 
 def delta3_components(mu: TensorMap, r: TensorMap, c: YBH3Cochain) -> dict:
-    """All eight degree-3 components on raw structure maps.
-
-    The YI-side slide and assoc components, and the IY-first prod component,
-    are the mirror conjugates of their partners: conjugate the structure and
-    the cochains by tensor reversal (which swaps the YI and IY summands),
-    apply the base formula, conjugate back.  Reversal also swaps the two
-    sides of the Yang-Baxter equation and of associativity, so the beta and
-    gamma slots enter the mirrored components negated; the mixed defects map
-    onto each other without a sign.
-    """
-    mu_m, r_m = mirror_map(mu), mirror_map(r)
-    beta_m, gamma_m = -mirror_map(c.beta), -mirror_map(c.gamma)
-    ayi_m, aiy_m = mirror_map(c.alpha_yi), mirror_map(c.alpha_iy)
-    return {
-        "yb": d3_yb_raw(r, c.beta),
-        "slide_iy": d3_slide_iy_raw(mu, r, c.beta, c.alpha_iy),
-        "slide_yi": mirror_map(d3_slide_iy_raw(mu_m, r_m, beta_m, ayi_m)),
-        "assoc_iy": d3_assoc_iy_raw(mu, r, c.alpha_iy, c.gamma),
-        "assoc_yi": mirror_map(d3_assoc_iy_raw(mu_m, r_m, ayi_m, gamma_m)),
-        "prod_yi": d3_prod_yi_raw(mu, r, c.alpha_yi, c.alpha_iy),
-        "prod_iy": mirror_map(d3_prod_yi_raw(mu_m, r_m, aiy_m, ayi_m)),
-        "pentagon": d3_pentagon_raw(mu, c.gamma),
-    }
+    """All eight degree-3 components on raw structure maps: D3_TERMS with
+    the slots filled from the 3-cochain c."""
+    maps = {"m": mu, "R": r, "b": c.beta, "a": c.alpha_yi, "A": c.alpha_iy, "g": c.gamma}
+    return {name: sum_terms(rows, maps) for name, rows in D3_TERMS.items()}
 
 
 def delta3(b: BraidedAlgebra, c: YBH3Cochain) -> YBH4Cochain:
@@ -601,11 +585,14 @@ def iota_r(b: BraidedAlgebra, c: YBH2Cochain, check: bool = True) -> YBH2Cochain
 
 @dataclass
 class ComplexSlice:
-    """D1, D2 as matrices, with the two chain identities (D2 D1 = 0 and, when
-    check_d3, delta^3 D2 = 0) verified exactly at construction."""
+    """D1, D2 as matrices, and whether the two chain identities hold, both
+    checked exactly at construction: D2 D1 = 0, and delta^3 D2 = 0 on every
+    column of D2 when check_d3 (d3d2_zero is None otherwise)."""
     algebra: BraidedAlgebra
     d1: ExactMatrix
     d2: ExactMatrix
+    d2d1_zero: bool
+    d3d2_zero: bool | None
 
     @classmethod
     def build(cls, b: BraidedAlgebra, check_d3: bool = True,
@@ -613,12 +600,8 @@ class ComplexSlice:
         _guard(b.dim, max_dim, MAX_DIM_DEGREE2, "complex slice")
         d1 = differential_matrix(b, 1)
         d2 = differential_matrix(b, 2)
-        if not d2.matmul(d1).is_zero():
-            raise InputError("chain identity D2 D1 = 0 fails; structure is not braided")
+        d3d2 = None
         if check_d3:
-            for idx in range(d2.cols):
-                col = d2.column(idx)
-                c3 = YBH3Cochain.unflatten(col, b.field, b.dim)
-                if not delta3(b, c3).is_zero():
-                    raise InputError("chain identity D3 o D2 = 0 fails")
-        return cls(b, d1, d2)
+            d3d2 = all(delta3(b, YBH3Cochain.unflatten(d2.column(idx), b.field, b.dim)).is_zero()
+                       for idx in range(d2.cols))
+        return cls(b, d1, d2, d2.matmul(d1).is_zero(), d3d2)

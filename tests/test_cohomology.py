@@ -183,6 +183,31 @@ def test_syzygy_identity_pins_degree3():
                 assert value.is_zero(), name
 
 
+def test_mirror_partners_match_the_mirror_conjugation_route():
+    # each generated YI/IY partner equals its partner's component conjugated
+    # by tensor reversal: evaluated on mirror(mu), mirror(R) and the mirrored
+    # 3-cochain (alpha slots swapped, beta and gamma negated), then mirrored
+    # back; on random non-braided structures and random cochains
+    from ybh.braided import mirror_map
+    from ybh.cohomology import D3_MIRROR_PARTNERS
+    assert sorted(D3_MIRROR_PARTNERS) == ["assoc_yi", "prod_iy", "slide_yi"]
+    for field in (GF(101), QQ):
+        rng = SplitMix64(23)
+        for _ in range(3):
+            mu = random_map(field, 2, 2, 1, rng, span=3)
+            r = random_map(field, 2, 2, 2, rng, span=3)
+            c = YBH3Cochain(*(random_map(field, 2, 3, k, rng, span=3) for k in (3, 2, 2, 1)))
+            mirrored = YBH3Cochain(beta=-mirror_map(c.beta),
+                                   alpha_yi=mirror_map(c.alpha_iy),
+                                   alpha_iy=mirror_map(c.alpha_yi),
+                                   gamma=-mirror_map(c.gamma))
+            out = delta3_components(mu, r, c)
+            base = delta3_components(mirror_map(mu), mirror_map(r), mirrored)
+            for name, partner in D3_MIRROR_PARTNERS.items():
+                assert not out[name].is_zero(), name
+                assert out[name] == mirror_map(base[partner]), name
+
+
 def test_pin_degree3_tool_rederives_the_frozen_tables(tmp_path):
     # the tool searches the braid-word graph for the YB loop and substitutes
     # the axiom defects of random dense (mu, R) over GF(101) and Q; it finds
@@ -193,7 +218,7 @@ def test_pin_degree3_tool_rederives_the_frozen_tables(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     out = proc.stdout
-    assert "frozen-table check (ybh.cohomology.YB4_LOOP_TERMS): MATCHES" in out
+    assert 'frozen-table check (ybh.cohomology.D3_TERMS["yb"]): MATCHES' in out
     assert "all syzygies vanish identically: OK" in out
 
 

@@ -46,3 +46,12 @@ def test_finish_removes_the_trees_only_when_byte_identical(tmp_path, capsys):
     assert (tmp_path / "differ" / "a" / "r.json").is_file()
     out = capsys.readouterr().out
     assert str(tmp_path / "differ") in out and "differs: r.json" in out
+
+
+def test_write_reports_adds_degree3_over_f3_for_small_fixtures(tmp_path):
+    # cohomology --degree 3 over F3 for every fixture with d <= 3 only
+    tool = _tool()
+    codes = tool.write_reports(tmp_path, ["z2_adjoint", "heap_z2"], {}, selftest=False,
+                               specs={})
+    assert codes == {"z2_adjoint-F3.algebra.json": 0, "z2_adjoint-F3.cohomology3.json": 0}
+    assert json.loads((tmp_path / "z2_adjoint-F3.cohomology3.json").read_text())["degree"] == 3

@@ -425,3 +425,26 @@ def test_cli_selftest_max_dim_zero_is_kept(capsys):
     assert main(["selftest", "--trials", "1", "--max-dim", "0"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["max_dim"] == 0 and report["checks"] == []
+
+
+def test_cli_selftest_records_a_failed_chain_identity(tmp_path, monkeypatch):
+    # a delta3 with one stray entry breaks D3 o D2 = 0 on the complex slice:
+    # selftest still writes its report, marks the check failed and exits 1
+    import ybh.cohomology
+    from ybh.cohomology import YBH4Cochain
+    from ybh.tensor import TensorMap
+    delta3 = ybh.cohomology.delta3
+
+    def broken_delta3(b, c):
+        parts = dict(delta3(b, c).components)
+        parts["yb"] = parts["yb"] + TensorMap.from_entries(
+            b.field, b.dim, 4, 4, [(0, 0, b.field.one)])
+        return YBH4Cochain(parts)
+
+    monkeypatch.setattr(ybh.cohomology, "delta3", broken_delta3)
+    out = tmp_path / "selftest.json"
+    assert main(["selftest", "--trials", "1", "--max-dim", "2", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["all_ok"] is False
+    assert [c["name"] for c in report["checks"] if not c["ok"]] == \
+        ["chain-d3d2/z2_adjoint", "chain-d3d2/dual_trivial"]

@@ -22,6 +22,10 @@ The report set, over Q, F2 and F101:
   braided Frobenius algebra of Z/4 and the transposition braiding on
   k[S3]; d = 5 to 16): construct and check;
 
+and, over F3 (where z3_adjoint's private- and shared-target H^3 differ, so
+its report carries h3_shared_targets), construct and cohomology --degree 3
+for every fixture with d <= 3;
+
 plus selftest --trials 20 for primes 2 and 101, with and without
 --max-dim 2.  The exit code of every command goes to exit_codes.json, which
 is compared too.
@@ -40,6 +44,7 @@ from pathlib import Path
 FIELDS = {"Q": ["--field", "q"],
           "F2": ["--field", "prime", "--prime", "2"],
           "F101": ["--field", "prime", "--prime", "101"]}
+DEGREE3_FIELDS = {"F3": ["--field", "prime", "--prime", "3"]}
 
 
 def _cyclic(n):
@@ -106,6 +111,12 @@ def write_reports(out: Path, fixture_names=None, fields=FIELDS, selftest=True,
                 series = put(f"{stem}.series{i}.json", {"schema": SCHEMA, "algebra": algebra,
                                                         "phi_terms": phis, "psi_terms": psis})
                 run(f"{stem}.verify{i}.json", "deform", "--series", series)
+        for tag, field_args in DEGREE3_FIELDS.items():
+            if fixtures.FIXTURES[fx]["dim"] <= 3:
+                stem = f"{fx}-{tag}"
+                run(f"{stem}.algebra.json", "construct", "--fixture", fx, *field_args)
+                run(f"{stem}.cohomology3.json", "cohomology", str(out / f"{stem}.algebra.json"),
+                    "--degree", "3")
     if selftest:
         for prime in ("2", "101"):
             for extra in ([], ["--max-dim", "2"]):

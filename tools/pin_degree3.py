@@ -14,13 +14,19 @@ summand defines the component; differentiating the identity once gives the
 chain property d3 o d2 = 0 and twice gives the vanishing of d3 on degree-2
 obstruction bundles.
 
-Part 1 searches the rewrite graph of six-crossing braid words on four
-strands for the pure Yang-Baxter loop and prints the term table that is
-frozen into ybh.cohomology.YB4_LOOP_TERMS.
+Every component is one entry of the term table ybh.cohomology.D3_TERMS:
+rows (sign, lifts), each lift a word of strand tokens ("1", "m" for mu, "R"
+for R, one cochain slot per term).  The YI/IY partners of the mixed loops
+are generated from their partners' rows by the mirror rule.
 
-Part 2 re-verifies the frozen tables and the three handwritten mixed
-components by substituting actual axiom defects of random NON-braided
-(mu, R) over GF(101) and Q and asserting exact zero.
+Part 1 searches the rewrite graph of six-crossing braid words on four
+strands for the pure Yang-Baxter loop, converts its braid moves into table
+rows and compares them with D3_TERMS["yb"].
+
+Part 2 substitutes the actual axiom defects of random NON-braided (mu, R)
+over GF(101) and Q into every table entry, and into the rows the search
+found, through the library's evaluator (ybh.cohomology.sum_terms), and
+asserts exact zero.
 
 Run from any directory:  python tools/pin_degree3.py
 """
@@ -34,13 +40,16 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ybh.braided import assoc_defect, iy_defect, yb_defect, yi_defect
-from ybh.cohomology import (YB4_LOOP_TERMS, YBH3Cochain, _word_op,
-                            delta3_components)
+from ybh.cohomology import D3_TERMS, YBH3Cochain, delta3_components, sum_terms
 from ybh.rng import SplitMix64
 from ybh.scalars import GF, QQ
-from ybh.tensor import TensorMap, compose, identity_map, random_map
+from ybh.tensor import random_map
 
 START = (1, 2, 1, 3, 2, 1)
+# The crossing generators R_s of a braid word, and beta inserted at strand
+# s, as words of the term table.
+GENERATOR_WORDS = {1: "R11", 2: "1R1", 3: "11R"}
+INSERT_WORDS = {1: "b1", 2: "1b"}
 
 
 def braid_edges(w):
@@ -101,25 +110,29 @@ def shortest_path(src, dst, banned=frozenset()):
 
 
 def contribution(w, i):
-    """Telescoping term of traversing a braid edge at position i of word w.
+    """Telescoping term of traversing a braid edge at position i of word w,
+    as a table row.
 
     With F_s = op(s, s+1, s) - op(s+1, s, s+1):
     old - new = +suffix o ins_s(F_s) o prefix when the old pattern rises
-    (s, s+1, s), and the negative of that when it falls.
+    (s, s+1, s), and the negative of that when it falls.  A braid word
+    lists its crossings in application order, so the row's lifts are the
+    suffix reversed, the insertion, then the prefix reversed.
     """
     a, b = w[i], w[i + 1]
-    s = min(a, b)
     sign = +1 if a < b else -1
-    return (sign, w[i + 3:], s, w[:i])
+    lifts = [GENERATOR_WORDS[g] for g in reversed(w[i + 3:])]
+    lifts.append(INSERT_WORDS[min(a, b)])
+    lifts.extend(GENERATOR_WORDS[g] for g in reversed(w[:i]))
+    return sign, tuple(lifts)
 
 
 def loop_terms(cycle_edges):
-    terms = []
-    for w, v, tag in cycle_edges:
-        if tag[0] != "braid":
-            continue
-        terms.append(contribution(w, tag[1]))
-    return terms
+    return tuple(contribution(w, tag[1]) for w, _, tag in cycle_edges if tag[0] == "braid")
+
+
+def _insertions(rows):
+    return sorted({word for _, lifts in rows for word in lifts if "b" in word})
 
 
 def find_yb_loop():
@@ -134,33 +147,23 @@ def find_yb_loop():
             continue
         cycle = [(w, v, tag)] + back
         terms = loop_terms(cycle)
-        strands = {t[2] for t in terms}
-        score = (len(strands) < 2, len(cycle), len(terms))
+        score = (len(_insertions(terms)) < 2, len(cycle), len(terms))
         if best is None or score < best[0]:
             best = (score, cycle, terms)
     _, cycle, terms = best
     print(f"loop: {len(cycle)} rewrites, {len(terms)} braid moves, "
-          f"strands {sorted({t[2] for t in terms})}")
+          f"insertions {_insertions(terms)}")
     for w, v, tag in cycle:
         print(f"   {w} -> {v}  via {tag}")
     return terms
 
 
-def eval_yb_terms(terms, r, beta):
-    one = identity_map(r.field, r.dim, 1)
-    ins = {1: beta.tensor(one), 2: one.tensor(beta)}
-    out = TensorMap.zero(r.field, r.dim, 4, 4)
-    for sign, after, strand, before in terms:
-        t = compose(_word_op(r, after), ins[strand], _word_op(r, before))
-        out = out + (t if sign > 0 else -t)
-    return out
-
-
-def check_syzygies(yb_terms, trials=4):
+def check_syzygies(yb_rows, trials=4):
     """Substitute the four axiom defects of a random (mu, R) -- satisfying no
-    axioms at all -- into every degree-3 component; each must vanish exactly.
-    This is the identity each component linearizes, and it implies both the
-    chain property and the annihilation of obstruction bundles."""
+    axioms at all -- into every degree-3 component and into the searched
+    Yang-Baxter rows; each must vanish exactly.  This is the identity each
+    component linearizes, and it implies both the chain property and the
+    annihilation of obstruction bundles."""
     rng = SplitMix64(20240901)
     fields = [GF(101), GF(101), QQ]
     failures = []
@@ -174,7 +177,7 @@ def check_syzygies(yb_terms, trials=4):
                                   alpha_iy=iy_defect(mu, r),
                                   gamma=assoc_defect(mu))
             out = delta3_components(mu, r, defects)
-            out["yb-frozen-table"] = eval_yb_terms(yb_terms, r, defects.beta)
+            out["yb-search"] = sum_terms(yb_rows, {"R": r, "b": defects.beta})
             for name, value in out.items():
                 if not value.is_zero():
                     failures.append((trial, repr(field), name))
@@ -184,16 +187,15 @@ def check_syzygies(yb_terms, trials=4):
 
 def main():
     print("== searching the four-strand Yang-Baxter coherence loop ==")
-    terms = find_yb_loop()
-    print("\nYB4_LOOP_TERMS = [")
-    for sign, after, strand, before in terms:
-        print(f"    ({'+1' if sign > 0 else '-1'}, {after!r}, {strand}, {before!r}),")
-    print("]")
+    rows = find_yb_loop()
+    print('\nD3_TERMS["yb"] = (')
+    for sign, lifts in rows:
+        print(f"    ({sign:+d}, {lifts!r}),")
+    print(")")
     print("\n== syzygy verification on random non-braided (mu, R) ==")
-    failures = check_syzygies(terms)
-    print("\nfrozen-table check (ybh.cohomology.YB4_LOOP_TERMS):",
-          "MATCHES" if [tuple(t) for t in YB4_LOOP_TERMS] == [tuple(t) for t in terms]
-          else "DIFFERS -- update the table")
+    failures = check_syzygies(rows)
+    print('\nfrozen-table check (ybh.cohomology.D3_TERMS["yb"]):',
+          "MATCHES" if rows == D3_TERMS["yb"] else "DIFFERS -- update the table")
     if failures:
         print(f"\n{len(failures)} FAILURES")
         sys.exit(1)
