@@ -7,8 +7,7 @@ computes second-cohomology dimensions, and evaluates and extends
 infinitesimal deformations through their degree-2 obstruction classes.
 """
 
-from .scalars import (FieldSpec, GF, QQ, TruncatedRing, TruncatedScalar,
-                      hbar_coefficient, rational_normalize, truncated_mul)
+from .scalars import FieldSpec, GF, QQ, TruncatedRing, rational_normalize
 from .tensor import (TensorMap, compose, identity_map, linear_combination,
                      tensor_product, transposition, unflatten)
 from .linalg import ExactMatrix, SolveCertificate, in_span, invert_matrix

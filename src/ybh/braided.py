@@ -11,20 +11,26 @@ Every check works on the defect (left side minus right side) and reports the
 lexicographically first input basis tuple where the defect is nonzero, which
 makes failures reproducible and debuggable.
 
-The mirror involution conjugates every structure map by the tensor-factor
-reversal; it exchanges the YI and IY axioms.  The cohomology module applies
-the same rule to the rows of its degree-3 term table (mirror_terms); the
-tests keep mirror_map as that rule's oracle.
+Each axiom is written once, as rows of a term table (AXIOM_TERMS), and each
+defect is a read of it by the one evaluator, sum_terms; the differentials
+of the cochain complex are tables in the same notation.  The mirror
+involution conjugates every structure map by the tensor-factor reversal and
+exchanges the YI and IY axioms; on table rows it is mirror_terms, which
+generates the IY rows from the YI rows (the tests keep mirror_map as its
+oracle).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import InputError, InternalCheckError, ValidationError
 from .linalg import ExactMatrix, invert_matrix
 from .scalars import TruncatedRing
-from .tensor import TensorMap, compose, decode_index, identity_map, reversal_map
+from .tensor import (TensorMap, compose, decode_index, identity_map, reversal_map,
+                     tensor_product)
 
 
 @dataclass
@@ -45,10 +51,7 @@ class CheckResult:
 def _witness(defect: TensorMap) -> tuple | None:
     """First (column-lex) input tuple where a defect map is nonzero."""
     data = defect.to_sparse_data()
-    if not data:
-        return None
-    c = min(data)
-    return decode_index(c, defect.dim, defect.in_arity)
+    return decode_index(min(data), defect.dim, defect.in_arity) if data else None
 
 
 def _check(name: str, defect: TensorMap) -> CheckResult:
@@ -56,31 +59,86 @@ def _check(name: str, defect: TensorMap) -> CheckResult:
     return CheckResult(name, w is None, w)
 
 
+# ---------------------------------------------------------------- term tables
+
+_STRAND_RUNS = re.compile("1+|.")
+
+
+def _lift(word: str, maps: dict) -> TensorMap:
+    """The tensor product of a word's tokens, left to right; a run of n
+    identity strands is one identity on V^n, read from maps if it is there."""
+    some = next(iter(maps.values()))
+    return reduce(tensor_product, [
+        identity_map(some.field, some.dim, len(run)) if run[0] == "1" and run not in maps
+        else maps[run] for run in _STRAND_RUNS.findall(word)])
+
+
+def sum_terms(rows, maps: dict, lifted: dict | None = None) -> TensorMap:
+    """The sum of a term table's rows (sign, lifts), each the term
+    sign * lift_0 o lift_1 o ... (the last lift applied first).  A lift is a
+    word of tokens tensored left to right: "1" the identity strand, and
+    otherwise a key of maps ({"m": mu, "R": r, "b": beta, ...}).  Without
+    lifted the lifts are built per term; lifted is a {word: lift} dict the
+    call reads first and fills on a miss, so calls sharing it lift each
+    distinct word once.  A token is a one-token word, so lifted may be maps
+    itself."""
+    if lifted is not None:
+        for word in {word for _, lifts in rows for word in lifts}.difference(lifted):
+            lifted[word] = _lift(word, maps)
+    total = None
+    for sign, lifts in rows:
+        if lifted is None:
+            term = compose(*(_lift(word, maps) for word in lifts))
+        else:
+            term = compose(*map(lifted.__getitem__, lifts))
+        if total is None:
+            total = term if sign > 0 else -term
+        else:
+            total = total + term if sign > 0 else total - term
+    return total
+
+
+_SWAP_ALPHA = str.maketrans("aA", "Aa")
+
+
+def mirror_terms(rows) -> tuple:
+    """Rows conjugated by tensor-factor reversal: every word reversed and the
+    two alpha slots exchanged.  Reversal also swaps the two sides of the
+    Yang-Baxter equation and of associativity, so rows with a beta or gamma
+    slot change sign; the YI and IY defects map onto each other without
+    one."""
+    return tuple((-sign if {"b", "g"} & set("".join(lifts)) else sign,
+                  tuple(word[::-1].translate(_SWAP_ALPHA) for word in lifts))
+                 for sign, lifts in rows)
+
+
+# The axioms, left side minus right side.  IY is the mirror of YI.
+AXIOM_TERMS = {
+    "yb": ((+1, ("R1", "1R", "R1")), (-1, ("1R", "R1", "1R"))),
+    "yi": ((+1, ("m1", "1R", "R1")), (-1, ("R", "1m"))),
+    "assoc": ((+1, ("m", "m1")), (-1, ("m", "1m"))),
+}
+AXIOM_TERMS["iy"] = mirror_terms(AXIOM_TERMS["yi"])
+
+
 # ---------------------------------------------------------------- axiom defects
 # These accept maps over any ring (including truncated rings), since the
 # deformation machinery evaluates the same defects at higher hbar order.
 
 def assoc_defect(mu: TensorMap) -> TensorMap:
-    one = identity_map(mu.field, mu.dim, 1)
-    return compose(mu, mu.tensor(one)) - compose(mu, one.tensor(mu))
+    return sum_terms(AXIOM_TERMS["assoc"], {"m": mu}, {})
 
 
 def yb_defect(r: TensorMap) -> TensorMap:
-    one = identity_map(r.field, r.dim, 1)
-    r1, r2 = r.tensor(one), one.tensor(r)
-    return compose(r1, r2, r1) - compose(r2, r1, r2)
+    return sum_terms(AXIOM_TERMS["yb"], {"R": r}, {})
 
 
 def yi_defect(mu: TensorMap, r: TensorMap) -> TensorMap:
-    one = identity_map(mu.field, mu.dim, 1)
-    lhs = compose(mu.tensor(one), one.tensor(r), r.tensor(one))
-    return lhs - compose(r, one.tensor(mu))
+    return sum_terms(AXIOM_TERMS["yi"], {"m": mu, "R": r}, {})
 
 
 def iy_defect(mu: TensorMap, r: TensorMap) -> TensorMap:
-    one = identity_map(mu.field, mu.dim, 1)
-    lhs = compose(one.tensor(mu), r.tensor(one), one.tensor(r))
-    return lhs - compose(r, mu.tensor(one))
+    return sum_terms(AXIOM_TERMS["iy"], {"m": mu, "R": r}, {})
 
 
 def check_associative(mu: TensorMap) -> CheckResult:

@@ -175,6 +175,8 @@ def cmd_deform(args) -> int:
     if algebra is None:
         raise InputError("cocycle document needs an 'algebra' entry")
     base = algebra_from_json(algebra)
+    if isinstance(base, HopfAlgebra):
+        raise InputError("cocycle document's algebra must be a braided algebra document")
     cocycle = cochain2_from_json(doc, base.field)
     result = extend_to_quadratic(base, cocycle)
     report = {"schema": "ybh/report/1", "command": "deform", "mode": "extend",

@@ -5,44 +5,44 @@ a direct sum of Hom(V^a, V^b) summands, written down once as a summand table
 (C1 .. C4 below); the cochain classes, the flatten layout, the sizes and
 offsets, and the matrix of every differential are read off those tables.
 
-The second differential is the linearization of the four structure axioms at
-(mu, R): the Yang-Baxter equation into the (3,3) summand, the YI and IY
-mixed axioms into the two (3,2) summands, and associativity into (3,1).
 "YI" always refers to the axiom (mu ox 1)(1 ox R)(R ox 1) = R (1 ox mu) and
 "IY" to (1 ox mu)(R ox 1)(1 ox R) = R (mu ox 1); every formula in this
 module is keyed to those shapes, never to a name.
 
-Each differential is defined once, as an operator on cochains (delta1,
-delta2, delta3); its matrix (differential_matrix) is that operator applied
-to the basis cochains, column by column.  The independent oracle for
-delta2 is the hbar coefficient of the four axiom defects of
-(mu + hbar psi, R + hbar phi) over k[hbar]/(hbar^2) (delta2_oracle).
+Each differential is one term table per target summand (D1_TERMS,
+D2_TERMS, D3_TERMS) in the row notation of braided.AXIOM_TERMS, read by the
+one evaluator there, sum_terms; its matrix (differential_matrix) is that
+read applied to the basis cochains, column by column.  D2_TERMS is not
+written out: it is the linearization of the four axiom rows at (mu, R)
+(linearize), whose independent oracle is the hbar coefficient of the axiom
+defects of (mu + hbar psi, R + hbar phi) over k[hbar]/(hbar^2)
+(delta2_oracle).  delta1 and delta2 share one dict of lifted words per
+call, seeded with the structure lifts cached on the algebra; delta3 builds
+its lifts per term.
 
 Degree 3 -> 4 writes into eight private summands of C^4, one per coherence
-loop, and is one term table (D3_TERMS) read by one evaluator (sum_terms).
-Each degree-3 component is the linearization of a rewrite-loop identity: a
-cycle of axiom applications whose telescoping sum vanishes identically for
-arbitrary bilinear mu and arbitrary R (no axioms needed).  That identity is
-re-verified by the test suite on random non-braided data; it implies both
-the chain property d3 o d2 = 0 and the vanishing of d3 on every degree-2
-obstruction bundle.  The rows of three components are generated from their
-partners' rows by the tensor-reversal mirror (mirror_terms).
+loop.  Each component linearizes a rewrite-loop identity: a cycle of axiom
+applications whose telescoping sum vanishes identically for arbitrary
+bilinear mu and arbitrary R.  The test suite re-verifies it on random
+non-braided data; it implies both d3 o d2 = 0 and the vanishing of d3 on
+every degree-2 obstruction bundle.  The rows of three components are
+generated from their partners' rows by the tensor-reversal mirror
+(mirror_terms).
 """
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_right
-from functools import reduce
 from itertools import accumulate
 from dataclasses import dataclass
 
-from .braided import BraidedAlgebra, assoc_defect, iy_defect, yb_defect, yi_defect
+from .braided import (AXIOM_TERMS, BraidedAlgebra, assoc_defect, iy_defect, mirror_terms,
+                      sum_terms, yb_defect, yi_defect)
 from .errors import InputError, ResourceLimitError
 from .linalg import ExactMatrix
 from .scalars import TruncatedRing
-from .tensor import (TensorMap, compose, identity_map, same_ring, tensor_product,
-                     truncated_from_parts, truncated_part)
+from .tensor import (TensorMap, identity_map, same_ring, truncated_from_parts,
+                     truncated_part)
 
 MAX_DIM_DEGREE2 = 4
 MAX_DIM_DEGREE3 = 3
@@ -229,39 +229,58 @@ flatten2 = flatten3 = Cochain.flatten
 unflatten2, unflatten3 = YBH2Cochain.unflatten, YBH3Cochain.unflatten
 
 
-# ---------------------------------------------------------------- helpers
+# ---------------------------------------------------------------- term tables
+#
+# Rows in the notation of braided.sum_terms, each term with exactly one
+# cochain slot: "c" a 0-cochain, "f" a 1-cochain, "p" phi, "s" psi, "b"
+# beta, "a" alpha_yi, "A" alpha_iy, "g" gamma.
 
-def _mu_of(x) -> TensorMap:
-    if isinstance(x, TensorMap):
-        return x
-    return x.mu
+def linearize(rows, slots: dict) -> tuple:
+    """The hbar-linear part of a table when each structure token t becomes
+    t + hbar * slots[t]: each row once per occurrence of such a token, that
+    one occurrence replaced by its slot."""
+    return tuple((sign, lifts[:i] + (word[:j] + slots[t] + word[j + 1:],) + lifts[i + 1:])
+                 for sign, lifts in rows
+                 for i, word in enumerate(lifts)
+                 for j, t in enumerate(word) if t in slots)
 
 
-def _r_of(x) -> TensorMap:
-    if isinstance(x, TensorMap):
-        return x
-    return x.r
+HOCHSCHILD_D0_TERMS = ((+1, ("m", "1c")), (-1, ("m", "c1")))
+
+D1_TERMS = {
+    "phi": ((+1, ("R", "f1")), (+1, ("R", "1f")), (-1, ("f1", "R")), (-1, ("1f", "R"))),
+    "psi": ((+1, ("m", "f1")), (+1, ("m", "1f")), (-1, ("f", "m"))),
+}
+
+# delta2 linearizes the four axioms at (mu, R) in the direction (phi, psi).
+D2_TERMS = {name: linearize(AXIOM_TERMS[axiom], {"R": "p", "m": "s"}) for name, axiom in
+            (("beta", "yb"), ("alpha_yi", "yi"), ("alpha_iy", "iy"), ("gamma", "assoc"))}
 
 
 def _lifts(x, key: str) -> tuple:
     """(1, m, m ox 1, 1 ox m) for the structure map m = x.mu (key "mu") or
-    x.r (key "r"): the lifts every degree-1 and degree-2 formula reads.  An
+    x.r (key "r"): the lifts every degree-1 and degree-2 table reads.  An
     algebra caches them (write-once; its maps are immutable); a raw map is
     m itself and is lifted on each call."""
-    if isinstance(x, TensorMap):
-        m, cache = x, None
-    else:
-        cache = getattr(x, "_op_cache", None)
-        if cache is None:
-            cache = x._op_cache = {}
-        if key in cache:
-            return cache[key]
-        m = getattr(x, key)
-    one = identity_map(m.field, m.dim, 1)
-    lifts = (one, m, m.tensor(one), one.tensor(m))
-    if cache is not None:
-        cache[key] = lifts
-    return lifts
+    raw = isinstance(x, TensorMap)
+    cache = {} if raw else vars(x).setdefault("_op_cache", {})
+    if key not in cache:
+        m = x if raw else getattr(x, key)
+        one = identity_map(m.field, m.dim, 1)
+        cache[key] = (one, m, m.tensor(one), one.tensor(m))
+    return cache[key]
+
+
+def _read_tables(x, keys, slots: dict, *tables) -> list:
+    """Tables read at the structure maps of x (an algebra, or the one raw
+    structure map of keys) with the slots filled.  The reads share one
+    {word: lift} dict, seeded with the lifts of _lifts and the slots."""
+    words = {}
+    for key in keys:
+        t = "m" if key == "mu" else "R"
+        words.update(zip(("1", t, t + "1", "1" + t), _lifts(x, key)))
+    words.update(slots)
+    return [sum_terms(rows, words, words) for rows in tables]
 
 
 def _expect(t: TensorMap, n: int, k: int, what: str):
@@ -270,66 +289,35 @@ def _expect(t: TensorMap, n: int, k: int, what: str):
                          f"got ({t.in_arity}->{t.out_arity})")
 
 
-# ---------------------------------------------------------------- Hochschild side
+# ---------------------------------------------------------------- degree 0, 1, 2
 
 def hochschild_differential(algebra, degree: int, cochain: TensorMap) -> TensorMap:
-    """delta^n_H for n in 0..3; degree 2 carries the flipped overall sign
-    (positive left terms), degree 3 is the standard pentagon (the pentagon
-    rows of D3_TERMS), and the two conventions still compose to zero."""
-    c = cochain
-    if degree == 1:
-        _expect(c, 1, 1, "degree-1 cochain")
-        one, mu, _, _ = _lifts(algebra, "mu")
-        return compose(mu, c.tensor(one)) + compose(mu, one.tensor(c)) - compose(c, mu)
-    if degree == 2:
-        _expect(c, 2, 1, "degree-2 cochain")
-        one, mu, mu1, mu2 = _lifts(algebra, "mu")
-        return compose(mu, c.tensor(one)) + compose(c, mu1) \
-            - compose(mu, one.tensor(c)) - compose(c, mu2)
-    mu = _mu_of(algebra)
-    if degree == 0:
-        _expect(c, 0, 1, "degree-0 cochain")
-        one = identity_map(mu.field, mu.dim, 1)
-        return compose(mu, one.tensor(c)) - compose(mu, c.tensor(one))
-    if degree == 3:
-        _expect(c, 3, 1, "degree-3 cochain")
-        return sum_terms(D3_TERMS["pentagon"], {"m": mu, "g": c})
-    raise InputError(f"Hochschild differential defined for degrees 0..3, got {degree}")
+    """delta^n_H for n in 0..3.  Degree 2 is the linearized associativity
+    defect (positive left terms), degree 3 the standard pentagon (the
+    pentagon rows of D3_TERMS); the two conventions still compose to zero."""
+    tables = {0: (HOCHSCHILD_D0_TERMS, "c"), 1: (D1_TERMS["psi"], "f"),
+              2: (D2_TERMS["gamma"], "s"), 3: (D3_TERMS["pentagon"], "g")}
+    if degree not in tables:
+        raise InputError(f"Hochschild differential defined for degrees 0..3, got {degree}")
+    rows, slot = tables[degree]
+    _expect(cochain, degree, 1, f"degree-{degree} cochain")
+    return _read_tables(algebra, ["mu"], {slot: cochain}, rows)[0]
 
-
-# ---------------------------------------------------------------- Yang-Baxter side
 
 def yang_baxter_differential(operator, degree: int, cochain: TensorMap) -> TensorMap:
-    c = cochain
-    if degree == 1:
-        _expect(c, 1, 1, "degree-1 cochain")
-        one, r, _, _ = _lifts(operator, "r")
-        c1, c2 = c.tensor(one), one.tensor(c)
-        return compose(r, c1) + compose(r, c2) - compose(c1, r) - compose(c2, r)
-    if degree == 2:
-        _expect(c, 2, 2, "degree-2 cochain")
-        one, _, r1, r2 = _lifts(operator, "r")
-        p1, p2 = c.tensor(one), one.tensor(c)
-        return compose(r1, r2, p1) + compose(r1, p2, r1) + compose(p1, r2, r1) \
-            - compose(r2, r1, p2) - compose(r2, p1, r2) - compose(p2, r1, r2)
-    raise InputError(f"Yang-Baxter differential defined for degrees 1..2, got {degree}")
+    tables = {1: (D1_TERMS["phi"], "f"), 2: (D2_TERMS["beta"], "p")}
+    if degree not in tables:
+        raise InputError(f"Yang-Baxter differential defined for degrees 1..2, got {degree}")
+    rows, slot = tables[degree]
+    _expect(cochain, degree, degree, f"degree-{degree} cochain")
+    return _read_tables(operator, ["r"], {slot: cochain}, rows)[0]
 
-
-# ---------------------------------------------------------------- mixed degree 2
 
 def mixed_differential_d2(b: BraidedAlgebra, c: YBH2Cochain):
     """Both mixed components of delta^2, (YI, IY): the linearizations of the
     YI and IY axioms at (mu, R) in the direction (phi, psi)."""
-    one, mu, mu1, mu2 = _lifts(b, "mu")
-    _, r, r1, r2 = _lifts(b, "r")
-    phi, psi = c.phi, c.psi
-    p1, p2 = phi.tensor(one), one.tensor(phi)
-    s1, s2 = psi.tensor(one), one.tensor(psi)
-    yi = compose(s1, r2, r1) + compose(mu1, p2, r1) + compose(mu1, r2, p1) \
-        - compose(r, s2) - compose(phi, mu2)
-    iy = compose(s2, r1, r2) + compose(mu2, p1, r2) + compose(mu2, r1, p2) \
-        - compose(r, s1) - compose(phi, mu1)
-    return yi, iy
+    return tuple(_read_tables(b, ("mu", "r"), {"p": c.phi, "s": c.psi},
+                              D2_TERMS["alpha_yi"], D2_TERMS["alpha_iy"]))
 
 
 def delta2_oracle(b: BraidedAlgebra, c: YBH2Cochain) -> YBH3Cochain:
@@ -343,30 +331,21 @@ def delta2_oracle(b: BraidedAlgebra, c: YBH2Cochain) -> YBH3Cochain:
         yb_defect(r_t), yi_defect(mu_t, r_t), iy_defect(mu_t, r_t), assoc_defect(mu_t))))
 
 
-# ---------------------------------------------------------------- total degree 1, 2
-
 def delta1(b: BraidedAlgebra, f: TensorMap) -> YBH2Cochain:
-    return YBH2Cochain(phi=yang_baxter_differential(b, 1, f),
-                       psi=hochschild_differential(b, 1, f))
+    _expect(f, 1, 1, "degree-1 cochain")
+    return YBH2Cochain(*_read_tables(b, ("mu", "r"), {"f": f}, *D1_TERMS.values()))
 
 
 def delta2(b: BraidedAlgebra, c: YBH2Cochain) -> YBH3Cochain:
-    yi, iy = mixed_differential_d2(b, c)
-    return YBH3Cochain(beta=yang_baxter_differential(b, 2, c.phi),
-                       alpha_yi=yi, alpha_iy=iy,
-                       gamma=hochschild_differential(b, 2, c.psi))
+    return YBH3Cochain(*_read_tables(b, ("mu", "r"), {"p": c.phi, "s": c.psi},
+                                     *D2_TERMS.values()))
 
 
 # ---------------------------------------------------------------- degree 3
 #
-# delta3 is one term table, D3_TERMS, keyed by the C^4 summand names.  A row
-# (sign, lifts) is the term sign * lift_0 o lift_1 o ... (the last lift is
-# applied first).  A lift is a word of strand tokens tensored left to right:
-# "1" the identity strand, "m" mu, "R" R, and exactly one cochain slot per
-# term: "b" beta, "a" alpha_yi, "A" alpha_iy, "g" gamma.  Each component's
-# rows are the defect-slot linearization of a rewrite loop: with the axiom
-# defects of an arbitrary (mu, R) in the slots they sum to zero identically,
-# which the test suite and tools/pin_degree3.py pin.
+# Each component's rows are the defect-slot linearization of a rewrite loop:
+# with the axiom defects of an arbitrary (mu, R) in the slots they sum to
+# zero identically, which the test suite and tools/pin_degree3.py pin.
 
 _D3_LOOPS = {
     # Four-strand Yang-Baxter coherence: the eight braid-relation moves of a
@@ -423,51 +402,14 @@ _D3_LOOPS = {
 
 # The YI/IY partner of each mixed loop is its mirror image.
 D3_MIRROR_PARTNERS = {"slide_yi": "slide_iy", "assoc_yi": "assoc_iy", "prod_iy": "prod_yi"}
-_SWAP_ALPHA = str.maketrans("aA", "Aa")
-
-
-def mirror_terms(rows) -> tuple:
-    """The rows of a component conjugated by tensor-factor reversal: every
-    word reversed and the two alpha slots exchanged.  Reversal also swaps
-    the two sides of the Yang-Baxter equation and of associativity, so rows
-    with a beta or gamma slot change sign; the YI and IY defects map onto
-    each other without one."""
-    return tuple((-sign if {"b", "g"} & set("".join(lifts)) else sign,
-                  tuple(word[::-1].translate(_SWAP_ALPHA) for word in lifts))
-                 for sign, lifts in rows)
-
-
 D3_TERMS = {name: mirror_terms(_D3_LOOPS[D3_MIRROR_PARTNERS[name]])
             if name in D3_MIRROR_PARTNERS else _D3_LOOPS[name] for name in C4_SUMMANDS}
-
-_STRAND_RUNS = re.compile("1+|.")
-
-
-def _lift(word: str, maps: dict) -> TensorMap:
-    """The tensor product of a word's tokens, left to right; a run of n
-    identity strands is one identity on V^n."""
-    some = next(iter(maps.values()))
-    return reduce(tensor_product, [
-        identity_map(some.field, some.dim, len(run)) if run[0] == "1" else maps[run]
-        for run in _STRAND_RUNS.findall(word)])
-
-
-def sum_terms(rows, maps: dict) -> TensorMap:
-    """The sum of a term table's rows, each token read from maps
-    ({"m": mu, "R": r, "b": beta, ...}); the lifts are built per term."""
-    total = None
-    for sign, lifts in rows:
-        term = compose(*(_lift(word, maps) for word in lifts))
-        if total is None:
-            total = term if sign > 0 else -term
-        else:
-            total = total + term if sign > 0 else total - term
-    return total
 
 
 def yb_differential_d3(b, beta: TensorMap) -> TensorMap:
     _expect(beta, 3, 3, "beta")
-    return sum_terms(D3_TERMS["yb"], {"R": _r_of(b), "b": beta})
+    r = b if isinstance(b, TensorMap) else b.r
+    return sum_terms(D3_TERMS["yb"], {"R": r, "b": beta})
 
 
 def delta3_components(mu: TensorMap, r: TensorMap, c: YBH3Cochain) -> dict:

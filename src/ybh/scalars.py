@@ -287,11 +287,6 @@ class TruncatedRing:
     def from_int(self, n: int):
         return (self.base.from_int(n),) + (self.base.zero,) * (self.order - 1)
 
-    def coefficient(self, a, j: int):
-        if not 0 <= j < self.order:
-            raise InputError(f"coefficient index {j} outside truncation order {self.order}")
-        return a[j]
-
     def parse(self, arr):
         if not isinstance(arr, (list, tuple)) or len(arr) != self.order:
             raise InputError(f"truncated scalar needs {self.order} coefficients, got {arr!r}")
@@ -305,57 +300,6 @@ class TruncatedRing:
 
     def __repr__(self):
         return f"{self.base!r}[h]/(h^{self.order})"
-
-
-class TruncatedScalar:
-    """Value-level wrapper for truncated-ring elements, used at API boundaries."""
-
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring: TruncatedRing, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != ring.order:
-            raise InputError(f"need {ring.order} coefficients, got {len(coeffs)}")
-        self.ring = ring
-        self.coeffs = coeffs
-
-    def _check_compatible(self, other: "TruncatedScalar"):
-        if self.ring.order != other.ring.order or self.ring.base.kind != other.ring.base.kind \
-                or getattr(self.ring.base, "p", None) != getattr(other.ring.base, "p", None):
-            raise InputError("mismatched truncated rings")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        return TruncatedScalar(self.ring, self.ring.add(self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return TruncatedScalar(self.ring, self.ring.sub(self.coeffs, other.coeffs))
-
-    def __mul__(self, other):
-        self._check_compatible(other)
-        return TruncatedScalar(self.ring, self.ring.mul(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return TruncatedScalar(self.ring, self.ring.neg(self.coeffs))
-
-    def __eq__(self, other):
-        return isinstance(other, TruncatedScalar) and self.ring.order == other.ring.order \
-            and self.ring.eq(self.coeffs, other.coeffs)
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"TruncatedScalar({self.ring.unparse(self.coeffs)})"
-
-
-def truncated_mul(a: TruncatedScalar, b: TruncatedScalar) -> TruncatedScalar:
-    return a * b
-
-
-def hbar_coefficient(a: TruncatedScalar, j: int):
-    return a.ring.coefficient(a.coeffs, j)
 
 
 def base_of(ring):

@@ -1,14 +1,17 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import ybh.cohomology
-from ybh.braided import assoc_defect, iy_defect, yb_defect, yi_defect
+from ybh.braided import (AXIOM_TERMS, assoc_defect, braided_algebra, iy_defect, yb_defect,
+                         yi_defect)
 from ybh.cli import main
-from ybh.cohomology import (ComplexSlice, YBH2Cochain, YBH3Cochain,
+from ybh.cohomology import (C2, C3, C4, D1_TERMS, D2_TERMS, D3_TERMS, HOCHSCHILD_D0_TERMS,
+                            ComplexSlice, YBH2Cochain, YBH3Cochain,
                             cochain2_sizes, cochain3_sizes, cochain4_size,
                             cocycle_basis, coboundary_basis,
                             cohomology_dimension, delta1, delta2, delta2_oracle,
@@ -24,8 +27,9 @@ from ybh.fixtures import build_fixture
 from ybh.linalg import ExactMatrix, in_span
 from ybh.serialize import algebra_to_json, canonical_json
 from ybh.rng import SplitMix64
-from ybh.scalars import GF, QQ
-from ybh.tensor import TensorMap, identity_map, random_map
+from ybh.scalars import GF, QQ, TruncatedRing
+from ybh.tensor import (TensorMap, compose, identity_map, random_map, truncated_from_parts,
+                        truncated_part)
 
 SMALL_FIXTURES = ["z2_adjoint", "dual_trivial"]
 D3_FIXTURES = ["z2_adjoint", "z3_adjoint", "dual_trivial"]
@@ -100,6 +104,69 @@ def test_mixed_d2_matches_oracle_over_q():
     for _ in range(5):
         c = _random_cochain(QQ, 2, rng)
         assert delta2(b, c) == delta2_oracle(b, c)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)])
+@pytest.mark.parametrize("d", [2, 3])
+def test_delta1_delta2_match_their_oracles_on_non_braided_data(field, d):
+    # the tables are formal identities, so they hold for arbitrary bilinear
+    # mu and arbitrary R: delta2 is the hbar coefficient of the axiom defects
+    # of (mu + hbar psi, R + hbar phi), and delta1 minus the hbar coefficient
+    # of conjugating (mu, R) by g = 1 + hbar f over k[hbar]/(hbar^2)
+    rng = SplitMix64(31 + d)
+    ring = TruncatedRing(field, 2)
+    one = identity_map(field, d, 1)
+    for _ in range(4):
+        b = braided_algebra(field, d, random_map(field, d, 2, 1, rng),
+                            random_map(field, d, 2, 2, rng), require=False)
+        c = _random_cochain(field, d, rng)
+        assert delta2(b, c) == delta2_oracle(b, c)
+        f = random_map(field, d, 1, 1, rng)
+        g = truncated_from_parts(ring, [one, f])
+        g_inv = truncated_from_parts(ring, [one, -f])
+        gg, gg_inv = g.tensor(g), g_inv.tensor(g_inv)
+        mu_conj = compose(g, truncated_from_parts(ring, [b.mu]), gg_inv)
+        r_conj = compose(gg, truncated_from_parts(ring, [b.r]), gg_inv)
+        assert delta1(b, f) == YBH2Cochain(-truncated_part(r_conj, 1),
+                                           -truncated_part(mu_conj, 1))
+
+
+# (in, out) arity of every token of the term tables
+TOKEN_ARITY = {"1": (1, 1), "m": (2, 1), "R": (2, 2), "f": (1, 1), "p": (2, 2),
+               "s": (2, 1), "b": (3, 3), "a": (3, 2), "A": (3, 2), "g": (3, 1),
+               "c": (0, 1)}
+SLOT_TOKENS = set("fpsbaAgc")
+
+
+def test_every_term_table_row_is_well_typed():
+    def arity(word):
+        return tuple(sum(TOKEN_ARITY[t][k] for t in word) for k in (0, 1))
+
+    tables = [
+        ("AXIOM_TERMS", AXIOM_TERMS, {"yb": (3, 3), "yi": (3, 2), "iy": (3, 2), "assoc": (3, 1)}),
+        ("HOCHSCHILD_D0_TERMS", {"d0": HOCHSCHILD_D0_TERMS}, {"d0": (1, 1)}),
+        ("D1_TERMS", D1_TERMS, {name: (a, b) for name, a, b in C2}),
+        ("D2_TERMS", D2_TERMS, {name: (a, b) for name, a, b in C3}),
+        ("D3_TERMS", D3_TERMS, {name: (a, b) for name, a, b in C4}),
+    ]
+    for table_name, table, targets in tables:
+        assert set(table) == set(targets), table_name
+        for name, rows in table.items():
+            for row in rows:
+                sign, lifts = row
+                where = f"{table_name}[{name!r}] row {row}"
+                assert sign in (+1, -1), where
+                for word in lifts:
+                    assert set(word) <= set(TOKEN_ARITY), f"{where}: word {word!r}"
+                for left, right in zip(lifts, lifts[1:]):
+                    assert arity(left)[0] == arity(right)[1], \
+                        f"{where}: word {left!r} does not chain onto {right!r}"
+                assert (arity(lifts[-1])[0], arity(lifts[0])[1]) == targets[name], where
+                slots = [t for word in lifts for t in word if t in SLOT_TOKENS]
+                assert len(slots) == (0 if table is AXIOM_TERMS else 1), where
+    # the product-crossing loop and its mirror are the same rows up to sign
+    assert Counter(D3_TERMS["prod_iy"]) == Counter((-sign, lifts)
+                                                   for sign, lifts in D3_TERMS["prod_yi"])
 
 
 D2_ORACLE_CASES = [(name, field, None) for name in ("z2_adjoint", "z3_adjoint", "dual_trivial")

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from ybh.cli import main
-from ybh.cohomology import cocycle_basis
+from ybh.cohomology import YBH2Cochain, cocycle_basis
 from ybh.errors import InputError, ValidationError
 from ybh.fixtures import build_fixture
 from ybh.hopf import group_hopf
@@ -14,7 +14,7 @@ from ybh.serialize import (algebra_from_json, algebra_to_json, canonical_json,
                            tensor_from_json, tensor_to_json)
 from ybh.deformation import series_from_cocycle
 from ybh.rng import SplitMix64
-from ybh.tensor import random_map
+from ybh.tensor import TensorMap, random_map
 
 
 def test_braided_round_trip(tmp_path):
@@ -329,6 +329,22 @@ def test_cli_tensor_document_fields_must_be_ints(tmp_path, capsys, field, value)
     cfile = tmp_path / "cocycle.json"
     cfile.write_text(json.dumps(cdoc))
     _assert_input_error(capsys, ["deform", "--extend", str(cfile)])
+
+
+@pytest.mark.parametrize("mode", ["--extend", "--series"])
+def test_cli_deform_rejects_a_hopf_base(tmp_path, capsys, mode):
+    # a Hopf algebra document carries no braiding to deform: exit 2 before
+    # the cochain is read, never a traceback
+    h = group_hopf(FiniteGroup.cyclic(2), GF(2))
+    zero = TensorMap.zero(GF(2), 2, 2, 1)
+    doc = {"schema": "ybh/1", "algebra": algebra_to_json(h)}
+    if mode == "--extend":
+        doc.update(cochain2_to_json(YBH2Cochain(TensorMap.zero(GF(2), 2, 2, 2), zero)))
+    else:
+        doc.update(phi_terms=[], psi_terms=[tensor_to_json(zero)])
+    path = tmp_path / "deform.json"
+    path.write_text(json.dumps(doc))
+    _assert_input_error(capsys, ["deform", mode, str(path)])
 
 
 def test_cli_check_dimension_guard(tmp_path, capsys, monkeypatch):

@@ -4,8 +4,7 @@ import pytest
 
 from ybh.errors import InputError
 from ybh.rng import SplitMix64
-from ybh.scalars import (GF, QQ, FieldSpec, TruncatedRing, TruncatedScalar,
-                         hbar_coefficient, rational_normalize, truncated_mul)
+from ybh.scalars import GF, QQ, FieldSpec, TruncatedRing, rational_normalize
 
 
 def test_rational_normalize_reduces_and_fixes_sign():
@@ -32,34 +31,15 @@ def test_field_spec_validation():
 
 
 def _ts(ring, *ints):
-    return TruncatedScalar(ring, [ring.base.from_int(n) for n in ints])
+    return tuple(ring.base.from_int(n) for n in ints)
 
 
 def test_truncated_mul_examples():
     r2 = TruncatedRing(QQ, 2)
     r3 = TruncatedRing(QQ, 3)
-    assert truncated_mul(_ts(r2, 1, 1), _ts(r2, 1, -1)) == _ts(r2, 1, 0)
-    assert truncated_mul(_ts(r3, 1, 1, 0), _ts(r3, 1, 1, 0)) == _ts(r3, 1, 2, 1)
-    assert truncated_mul(_ts(r2, 0, 1), _ts(r2, 0, 1)) == _ts(r2, 0, 0)
-
-
-def test_truncated_mul_rejects_mismatched_rings():
-    with pytest.raises(InputError):
-        truncated_mul(_ts(TruncatedRing(QQ, 2), 1, 1),
-                      _ts(TruncatedRing(QQ, 3), 1, 1, 1))
-    with pytest.raises(InputError):
-        truncated_mul(_ts(TruncatedRing(QQ, 2), 1, 1),
-                      _ts(TruncatedRing(GF(5), 2), 1, 1))
-
-
-def test_hbar_coefficient():
-    r2 = TruncatedRing(QQ, 2)
-    a = _ts(r2, 3, 5)
-    assert hbar_coefficient(a, 1) == Fraction(5)
-    assert hbar_coefficient(a, 0) == Fraction(3)
-    assert hbar_coefficient(_ts(r2, 0, 0), 1) == Fraction(0)
-    with pytest.raises(InputError):
-        hbar_coefficient(a, 2)
+    assert r2.mul(_ts(r2, 1, 1), _ts(r2, 1, -1)) == _ts(r2, 1, 0)
+    assert r3.mul(_ts(r3, 1, 1, 0), _ts(r3, 1, 1, 0)) == _ts(r3, 1, 2, 1)
+    assert r2.mul(_ts(r2, 0, 1), _ts(r2, 0, 1)) == _ts(r2, 0, 0)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)])

@@ -14,10 +14,11 @@ summand defines the component; differentiating the identity once gives the
 chain property d3 o d2 = 0 and twice gives the vanishing of d3 on degree-2
 obstruction bundles.
 
-Every component is one entry of the term table ybh.cohomology.D3_TERMS:
-rows (sign, lifts), each lift a word of strand tokens ("1", "m" for mu, "R"
-for R, one cochain slot per term).  The YI/IY partners of the mixed loops
-are generated from their partners' rows by the mirror rule.
+Every component is one entry of the term table ybh.cohomology.D3_TERMS,
+in the row notation of the axiom table ybh.braided.AXIOM_TERMS: rows
+(sign, lifts), each lift a word of strand tokens ("1", "m" for mu, "R" for
+R, one cochain slot per term).  The YI/IY partners of the mixed loops are
+generated from their partners' rows by the mirror rule (mirror_terms).
 
 Part 1 searches the rewrite graph of six-crossing braid words on four
 strands for the pure Yang-Baxter loop, converts its braid moves into table
@@ -25,8 +26,9 @@ rows and compares them with D3_TERMS["yb"].
 
 Part 2 substitutes the actual axiom defects of random NON-braided (mu, R)
 over GF(101) and Q into every table entry, and into the rows the search
-found, through the library's evaluator (ybh.cohomology.sum_terms), and
-asserts exact zero.
+found, through the library's one evaluator of term tables
+(ybh.braided.sum_terms, which also reads the axiom defects), and asserts
+exact zero.
 
 Run from any directory:  python tools/pin_degree3.py
 """
@@ -39,8 +41,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from ybh.braided import assoc_defect, iy_defect, yb_defect, yi_defect
-from ybh.cohomology import D3_TERMS, YBH3Cochain, delta3_components, sum_terms
+from ybh.braided import assoc_defect, iy_defect, sum_terms, yb_defect, yi_defect
+from ybh.cohomology import D3_TERMS, YBH3Cochain, delta3_components
 from ybh.rng import SplitMix64
 from ybh.scalars import GF, QQ
 from ybh.tensor import random_map
