@@ -66,8 +66,11 @@ _STRAND_RUNS = re.compile("1+|.")
 
 def _lift(word: str, maps: dict) -> TensorMap:
     """The tensor product of a word's tokens, left to right; a run of n
-    identity strands is one identity on V^n, read from maps if it is there."""
+    identity strands is one identity on V^n, read from maps if it is there.
+    The empty word is the identity on V^0, the ground ring."""
     some = next(iter(maps.values()))
+    if not word:
+        return identity_map(some.field, some.dim, 0)
     return reduce(tensor_product, [
         identity_map(some.field, some.dim, len(run)) if run[0] == "1" and run not in maps
         else maps[run] for run in _STRAND_RUNS.findall(word)])
@@ -112,11 +115,14 @@ def mirror_terms(rows) -> tuple:
                  for sign, lifts in rows)
 
 
-# The axioms, left side minus right side.  IY is the mirror of YI.
+# The axioms, left side minus right side, with u the unit.  IY is the
+# mirror of YI.
 AXIOM_TERMS = {
     "yb": ((+1, ("R1", "1R", "R1")), (-1, ("1R", "R1", "1R"))),
     "yi": ((+1, ("m1", "1R", "R1")), (-1, ("R", "1m"))),
     "assoc": ((+1, ("m", "m1")), (-1, ("m", "1m"))),
+    "unit_left": ((+1, ("m", "u1")), (-1, ("1",))),
+    "unit_right": ((+1, ("m", "1u")), (-1, ("1",))),
 }
 AXIOM_TERMS["iy"] = mirror_terms(AXIOM_TERMS["yi"])
 
@@ -180,11 +186,11 @@ class AssociativeAlgebra:
         return self._assoc
 
     def unit_defects(self) -> tuple:
-        """(mu (unit ox 1) - 1, mu (1 ox unit) - 1), computed once."""
+        """The unit_left and unit_right defects, computed once."""
         if self._unit is None:
-            one = identity_map(self.field, self.dim, 1)
-            self._unit = (compose(self.mu, self.unit.tensor(one)) - one,
-                          compose(self.mu, one.tensor(self.unit)) - one)
+            words = {"m": self.mu, "u": self.unit}
+            self._unit = tuple(sum_terms(AXIOM_TERMS[name], words, words)
+                               for name in ("unit_left", "unit_right"))
         return self._unit
 
     def check_unit(self) -> CheckResult:

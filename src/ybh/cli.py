@@ -177,7 +177,7 @@ def cmd_deform(args) -> int:
     base = algebra_from_json(algebra)
     if isinstance(base, HopfAlgebra):
         raise InputError("cocycle document's algebra must be a braided algebra document")
-    cocycle = cochain2_from_json(doc, base.field)
+    cocycle = cochain2_from_json(doc, base.field, base.dim)
     result = extend_to_quadratic(base, cocycle)
     report = {"schema": "ybh/report/1", "command": "deform", "mode": "extend",
               "input_digest": digest(doc), "ok": result.success,

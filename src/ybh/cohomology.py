@@ -514,10 +514,10 @@ def h3_dimension(b: BraidedAlgebra, max_dim: int | None = None,
 
 # ---------------------------------------------------------------- the braided-multiplication map
 
-def iota_r(b: BraidedAlgebra, c: YBH2Cochain, check: bool = True) -> YBH2Cochain:
+def iota_r(b: BraidedAlgebra, c: YBH2Cochain) -> YBH2Cochain:
     """The 2-cochain (phi, mu phi + psi R) of (V, mu R, R) induced by a
     2-cocycle (phi, psi) of (V, mu, R); induces a monomorphism on H^2."""
-    if check and not delta2(b, c).is_zero():
+    if not delta2(b, c).is_zero():
         raise InputError("iota_r needs a 2-cocycle")
     psi_r = b.mu.compose(c.phi) + c.psi.compose(b.r)
     return YBH2Cochain(phi=c.phi, psi=psi_r)

@@ -5,6 +5,14 @@ the braided Frobenius construction on X ox X for (co)commutative Hopf
 algebras, and the bridge from Hopf 2-cocycles (xi, zeta) to braided-algebra
 2-cochains (Psi_zeta(xi), xi).
 
+The Hopf axioms are written once, as the term table HOPF_AXIOM_TERMS in the
+row notation of braided.sum_terms, and check_hopf reads it.  The 2-cocycle
+conditions, the normalization conditions and the antipode hexagons are not
+written out: they are the first-order parts (cohomology.linearize) of
+axiom rows when (mu, Delta, S) becomes (mu + hbar xi, Delta + hbar zeta,
+S + hbar S') with eta and epsilon fixed, as in Gerstenhaber-Schack
+bialgebra cohomology.
+
 Psi is computed by deforming (mu, Delta, S) over k[hbar]/(hbar^2), rebuilding
 the adjoint operator there, and reading off the hbar coefficient.  That is
 the characterization R_deformed = R + hbar Psi, and it sidesteps transcribing
@@ -17,16 +25,70 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .braided import (AssociativeAlgebra, BraidedAlgebra, YangBaxterOperator, _check,
-                      assert_braided, braided_algebra)
+from .braided import (AXIOM_TERMS, AssociativeAlgebra, BraidedAlgebra, YangBaxterOperator,
+                      _check, assert_braided, braided_algebra, sum_terms)
 from .cohomology import (Cochain, Summands, YBH2Cochain, delta2 as ybh_delta2,
-                         hochschild_differential)
+                         hochschild_differential, linearize)
 from .constructions import FiniteGroup, dual_numbers
 from .errors import InputError, InternalCheckError, ValidationError
-from .linalg import ExactMatrix
 from .scalars import TruncatedRing
 from .tensor import (TensorMap, compose, decode_index, encode_index, identity_map,
                      transposition, truncated_from_parts, truncated_part)
+
+
+# ---------------------------------------------------------------- term tables
+#
+# Rows in the notation of braided.sum_terms, left side minus right side.
+# Tokens: m = mu, u = eta, D = Delta, e = epsilon, S the antipode, T the
+# transposition tau; "1" is the identity strand and "" the identity of V^0.
+# The algebra rows are braided.AXIOM_TERMS's.
+
+HOPF_AXIOM_TERMS = {
+    "associativity": AXIOM_TERMS["assoc"],
+    "unit-left": AXIOM_TERMS["unit_left"],
+    "unit-right": AXIOM_TERMS["unit_right"],
+    "coassociativity": ((+1, ("D1", "D")), (-1, ("1D", "D"))),
+    "counit-left": ((+1, ("e1", "D")), (-1, ("1",))),
+    "counit-right": ((+1, ("1e", "D")), (-1, ("1",))),
+    "bialgebra": ((+1, ("D", "m")), (-1, ("mm", "1T1", "DD"))),
+    "counit-multiplicative": ((+1, ("e", "m")), (-1, ("ee",))),
+    "coproduct-of-unit": ((+1, ("D", "u")), (-1, ("uu",))),
+    "counit-of-unit": ((+1, ("e", "u")), (-1, ("",))),
+    "antipode-left": ((+1, ("m", "S1", "D")), (-1, ("u", "e"))),
+    "antipode-right": ((+1, ("m", "1S", "D")), (-1, ("u", "e"))),
+}
+
+HOPF_FLAG_TERMS = {"commutative": ((+1, ("m", "T")), (-1, ("m",))),
+                   "cocommutative": ((+1, ("T", "D")), (-1, ("D",))),
+                   "involutory": ((+1, ("S", "S")), (-1, ("1",)))}
+
+# lam is a left integral of the dual Hopf algebra: (1 ox lam) Delta = eta lam.
+LEFT_INTEGRAL_TERMS = ((+1, ("1L", "D")), (-1, ("u", "L")))
+
+# First order in (mu + hbar xi, Delta + hbar zeta, S + hbar S'): the slots
+# x = xi, z = zeta and y = S'.
+_FIRST_ORDER = {"m": "x", "D": "z", "S": "y"}
+HOPF_COCYCLE_TERMS = {name: linearize(HOPF_AXIOM_TERMS[axiom], _FIRST_ORDER) for name, axiom in (
+    ("algebra-cocycle", "associativity"), ("coalgebra-cocycle", "coassociativity"),
+    ("bialgebra-compatibility", "bialgebra"))}
+# A normalized pair keeps eta the unit and epsilon the counit.
+NORMALIZATION_TERMS = tuple(linearize(HOPF_AXIOM_TERMS[axiom], _FIRST_ORDER) for axiom in
+                            ("unit-left", "unit-right", "counit-right", "counit-left"))
+HEXAGON_TERMS = tuple(linearize(HOPF_AXIOM_TERMS[axiom], _FIRST_ORDER)
+                      for axiom in ("antipode-left", "antipode-right"))
+
+# S' = -S(x(1)) xi(x(2) ox S(x(3))) - S(x(1)) mu((1 ox S) zeta(x(2)))
+ANTIPODE_CORRECTION_TERMS = ((-1, ("m", "Sx", "11S", "D1", "D")),
+                             (-1, ("m", "Sm", "11S", "1z", "D")))
+# The zeta part of the coboundary of a 1-cochain f.
+COBOUNDARY_ZETA_TERMS = ((+1, ("f1", "D")), (+1, ("1f", "D")), (-1, ("D", "f")))
+
+
+def _words(h, **slots) -> dict:
+    """h's structure maps by token, with the slots filled: the maps of a
+    sum_terms read and its {word: lift} dict."""
+    return {"m": h.mu, "u": h.eta, "D": h.delta, "e": h.epsilon, "S": h.antipode,
+            "T": transposition(h.field, h.dim), **slots}
 
 
 class HopfAlgebra:
@@ -63,33 +125,18 @@ class HopfAlgebra:
         return self.algebra.labels
 
     def check_hopf(self) -> list:
-        if self._checks is not None:
-            return self._checks
-        f, d = self.field, self.dim
-        one = identity_map(f, d, 1)
-        tau = transposition(f, d)
-        mu, eta, delta, eps, s = self.mu, self.eta, self.delta, self.epsilon, self.antipode
-        unit_left, unit_right = self.algebra.unit_defects()
-        checks = [
-            self.algebra.check_associative(),
-            _check("unit-left", unit_left),
-            _check("unit-right", unit_right),
-            _check("coassociativity",
-                   compose(delta.tensor(one), delta) - compose(one.tensor(delta), delta)),
-            _check("counit-left", compose(eps.tensor(one), delta) - one),
-            _check("counit-right", compose(one.tensor(eps), delta) - one),
-            _check("bialgebra",
-                   compose(delta, mu)
-                   - compose(mu.tensor(mu), one.tensor(tau).tensor(one),
-                             delta.tensor(delta))),
-            _check("counit-multiplicative", compose(eps, mu) - eps.tensor(eps)),
-            _check("coproduct-of-unit", compose(delta, eta) - eta.tensor(eta)),
-            _check("counit-of-unit", compose(eps, eta) - identity_map(f, d, 0)),
-            _check("antipode-left", compose(mu, s.tensor(one), delta) - compose(eta, eps)),
-            _check("antipode-right", compose(mu, one.tensor(s), delta) - compose(eta, eps)),
-        ]
-        self._checks = checks
-        return checks
+        """One check per row of HOPF_AXIOM_TERMS, in its order, computed
+        once; the three algebra verdicts are the AssociativeAlgebra's."""
+        if self._checks is None:
+            unit_left, unit_right = self.algebra.unit_defects()
+            known = {"associativity": self.algebra.check_associative(),
+                     "unit-left": _check("unit-left", unit_left),
+                     "unit-right": _check("unit-right", unit_right)}
+            words = _words(self)
+            self._checks = [known[name] if name in known
+                            else _check(name, sum_terms(rows, words, words))
+                            for name, rows in HOPF_AXIOM_TERMS.items()]
+        return self._checks
 
     def require(self) -> "HopfAlgebra":
         bad = [c for c in self.check_hopf() if not c.ok]
@@ -102,20 +149,10 @@ class HopfAlgebra:
     @property
     def flags(self) -> dict:
         if self._flags is None:
-            f, d = self.field, self.dim
-            one = identity_map(f, d, 1)
-            tau = transposition(f, d)
-            self._flags = {
-                "commutative": self.mu.compose(tau) == self.mu,
-                "cocommutative": tau.compose(self.delta) == self.delta,
-                "involutory": self.antipode.compose(self.antipode) == one,
-            }
+            words = _words(self)
+            self._flags = {name: sum_terms(rows, words, words).is_zero()
+                           for name, rows in HOPF_FLAG_TERMS.items()}
         return self._flags
-
-    def iterated_coproduct(self) -> TensorMap:
-        """(Delta ox 1) Delta : V -> V^3."""
-        one = identity_map(self.field, self.dim, 1)
-        return compose(self.delta.tensor(one), self.delta)
 
     def __repr__(self):
         return f"HopfAlgebra(dim={self.dim}, {self.field!r})"
@@ -230,33 +267,18 @@ class LeftIntegral:
 
 def find_left_integral(h: HopfAlgebra) -> LeftIntegral:
     """Nonzero functional lam with (1 ox lam) Delta(x) = lam(x) eta(1) for all
-    basis x (a left integral of the dual Hopf algebra); reports the full
-    solution-space rank, which is 1 for the families handled here."""
+    basis x (LEFT_INTEGRAL_TERMS); reports the full solution-space rank,
+    which is 1 for the families handled here."""
     h.require()
     f, d = h.field, h.dim
-    rows = []
-    eta_vec = [h.eta.entry(a, 0) for a in range(d)]
-    entries = []
-    for x in range(d):
-        for a in range(d):
-            row = x * d + a
-            for b in range(d):
-                c = h.delta.entry(encode_index((a, b), d), x)
-                if not f.is_zero(c):
-                    entries.append((row, b, c))
-            if not f.is_zero(eta_vec[a]):
-                entries.append((row, x, f.neg(eta_vec[a])))
-    m = ExactMatrix.from_entries(f, d * d, d, entries)
-    basis = m.kernel_basis()
+    space = Summands([("lam", 1, 0)])
+    basis = space.matrix(
+        f, d, lambda lam: [sum_terms(LEFT_INTEGRAL_TERMS, _words(h, L=lam))]).kernel_basis()
     if not basis:
         raise ValidationError("no nonzero left integral functional exists")
-    sols = []
-    for v in basis:
-        lead = next(i for i, x in enumerate(v) if not f.is_zero(x))
-        scale = f.inv(v[lead])
-        sols.append(TensorMap.from_entries(
-            f, d, 1, 0,
-            ((0, i, f.mul(scale, x)) for i, x in enumerate(v) if not f.is_zero(x))))
+    # each scaled to lead with 1
+    sols = [space.unflatten(v, f, d)[0].scale(f.inv(next(x for x in v if not f.is_zero(x))))
+            for v in basis]
     return LeftIntegral(functional=sols[0], rank=len(basis), basis=sols)
 
 
@@ -325,49 +347,28 @@ def hopf_coboundary(h: HopfAlgebra, f: TensorMap) -> HopfTwoCochain:
     """
     if (f.in_arity, f.out_arity) != (1, 1) or f.dim != h.dim:
         raise InputError("coboundary argument must be a (1->1) map")
-    one = identity_map(h.field, h.dim, 1)
-    xi = -hochschild_differential(h.mu, 1, f)
-    zeta = compose(f.tensor(one), h.delta) + compose(one.tensor(f), h.delta) \
-        - compose(h.delta, f)
-    return HopfTwoCochain(xi=xi, zeta=zeta)
+    words = _words(h, f=f)
+    return HopfTwoCochain(xi=-hochschild_differential(h.mu, 1, f),
+                          zeta=sum_terms(COBOUNDARY_ZETA_TERMS, words, words))
 
 
-def _cocycle_defects(h: HopfAlgebra, c: HopfTwoCochain) -> list:
-    f, d = h.field, h.dim
-    one = identity_map(f, d, 1)
-    tau = transposition(f, d)
-    mu, delta = h.mu, h.delta
-    xi, zeta = c.xi, c.zeta
-    alg = hochschild_differential(mu, 2, xi)
-    coalg = compose(one.tensor(zeta), delta) + compose(one.tensor(delta), zeta) \
-        - compose(zeta.tensor(one), delta) - compose(delta.tensor(one), zeta)
-    # Delta^13(x) Delta^24(y) compiles to the shuffle (1 ox tau ox 1)(Delta ox Delta)
-    shuffle = compose(one.tensor(tau).tensor(one), delta.tensor(delta))
-    compat = compose(delta, xi) + compose(zeta, mu) \
-        - compose(mu.tensor(xi), shuffle) - compose(xi.tensor(mu), shuffle) \
-        - compose(mu.tensor(mu), one.tensor(tau).tensor(one), zeta.tensor(delta)) \
-        - compose(mu.tensor(mu), one.tensor(tau).tensor(one), delta.tensor(zeta))
-    return [("algebra-cocycle", alg), ("coalgebra-cocycle", coalg),
-            ("bialgebra-compatibility", compat)]
+def _first_order_defects(h: HopfAlgebra, c: HopfTwoCochain, tables) -> list:
+    words = _words(h, x=c.xi, z=c.zeta)
+    return [sum_terms(rows, words, words) for rows in tables]
 
 
 def check_hopf_2cocycle(h: HopfAlgebra, c: HopfTwoCochain) -> list:
-    return [_check(name, defect) for name, defect in _cocycle_defects(h, c)]
+    defects = _first_order_defects(h, c, HOPF_COCYCLE_TERMS.values())
+    return [_check(name, defect) for name, defect in zip(HOPF_COCYCLE_TERMS, defects)]
 
 
 def is_hopf_2cocycle(h: HopfAlgebra, c: HopfTwoCochain) -> bool:
     return all(res.ok for res in check_hopf_2cocycle(h, c))
 
 
-def _normalization_defects(h: HopfAlgebra, c: HopfTwoCochain) -> list:
-    one = identity_map(h.field, h.dim, 1)
-    return [compose(c.xi, h.eta.tensor(one)), compose(c.xi, one.tensor(h.eta)),
-            compose(one.tensor(h.epsilon), c.zeta), compose(h.epsilon.tensor(one), c.zeta)]
-
-
 def check_normalized(h: HopfAlgebra, c: HopfTwoCochain) -> bool:
     """xi(1 ox x) = xi(x ox 1) = 0 and (1 ox eps) zeta = (eps ox 1) zeta = 0."""
-    return all(t.is_zero() for t in _normalization_defects(h, c))
+    return all(t.is_zero() for t in _first_order_defects(h, c, NORMALIZATION_TERMS))
 
 
 def antipode_correction(h: HopfAlgebra, c: HopfTwoCochain) -> TensorMap:
@@ -376,23 +377,12 @@ def antipode_correction(h: HopfAlgebra, c: HopfTwoCochain) -> TensorMap:
 
         S'(x) = -S(x(1)) xi(x(2) ox S(x(3))) - S(x(1)) mu((1 ox S) zeta(x(2)))
 
-    Both degree-1 antipode conditions (the hexagons) are verified exactly;
-    failure means c was not a normalized 2-cocycle.
+    Both first-order antipode conditions (the hexagons, HEXAGON_TERMS) are
+    verified exactly; failure means c was not a normalized 2-cocycle.
     """
-    f, d = h.field, h.dim
-    one = identity_map(f, d, 1)
-    mu, delta, s = h.mu, h.delta, h.antipode
-    xi, zeta = c.xi, c.zeta
-    delta2 = h.iterated_coproduct()
-    term1 = compose(mu, s.tensor(xi), one.tensor(one).tensor(s), delta2)
-    w = compose(mu, one.tensor(s), zeta)
-    term2 = compose(mu, s.tensor(w), delta)
-    s1 = -(term1 + term2)
-    hex_a = compose(xi, one.tensor(s), delta) + compose(mu, one.tensor(s), zeta) \
-        + compose(mu, one.tensor(s1), delta)
-    hex_b = compose(xi, s.tensor(one), delta) + compose(mu, s.tensor(one), zeta) \
-        + compose(mu, s1.tensor(one), delta)
-    if not (hex_a.is_zero() and hex_b.is_zero()):
+    words = _words(h, x=c.xi, z=c.zeta)
+    s1 = words["y"] = sum_terms(ANTIPODE_CORRECTION_TERMS, words, words)
+    if not all(sum_terms(rows, words, words).is_zero() for rows in HEXAGON_TERMS):
         raise ValidationError("antipode correction fails the hexagon identities; "
                               "the pair is not a normalized 2-cocycle")
     return s1
@@ -437,10 +427,7 @@ def normalized_cocycle_basis(h: HopfAlgebra) -> list:
     and the kernel is returned as HopfTwoCochain objects.
     """
     h.require()
-
-    def conditions(xi: TensorMap, zeta: TensorMap) -> list:
-        c = HopfTwoCochain(xi, zeta)
-        return [defect for _, defect in _cocycle_defects(h, c)] + _normalization_defects(h, c)
-
-    m = HopfTwoCochain.SUMMANDS.matrix(h.field, h.dim, conditions)
+    tables = (*HOPF_COCYCLE_TERMS.values(), *NORMALIZATION_TERMS)
+    m = HopfTwoCochain.SUMMANDS.matrix(
+        h.field, h.dim, lambda xi, zeta: _first_order_defects(h, HopfTwoCochain(xi, zeta), tables))
     return [HopfTwoCochain.unflatten(v, h.field, h.dim) for v in m.kernel_basis()]

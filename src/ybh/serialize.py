@@ -181,13 +181,19 @@ def cochain2_to_json(c) -> dict:
     return {name: tensor_to_json(t) for name, t in zip(c.SUMMANDS.names(), c.parts())}
 
 
-def cochain2_from_json(obj: dict, field):
+def cochain2_from_json(obj: dict, field, dim: int | None = None):
+    """The 2-cochain of a document; dim, when given, is its algebra's
+    dimension, which both parts must have."""
     from .cohomology import YBH2Cochain
     try:
-        return YBH2Cochain(*(tensor_from_json(obj[name], field, (a, b))
-                             for name, a, b in YBH2Cochain.SUMMANDS))
+        parts = {name: tensor_from_json(obj[name], field, (a, b))
+                 for name, a, b in YBH2Cochain.SUMMANDS}
     except KeyError as exc:
         raise InputError(f"cochain document missing {exc}")
+    for name, t in parts.items():
+        if dim not in (None, t.dim):
+            raise InputError(f"bad cochain: {name} has dimension {t.dim}, its algebra has {dim}")
+    return YBH2Cochain(**parts)
 
 
 def series_to_json(s) -> dict:

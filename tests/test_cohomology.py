@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import ybh.cohomology
+from ybh import hopf
 from ybh.braided import (AXIOM_TERMS, assoc_defect, braided_algebra, iy_defect, yb_defect,
                          yi_defect)
 from ybh.cli import main
@@ -134,24 +135,45 @@ def test_delta1_delta2_match_their_oracles_on_non_braided_data(field, d):
 # (in, out) arity of every token of the term tables
 TOKEN_ARITY = {"1": (1, 1), "m": (2, 1), "R": (2, 2), "f": (1, 1), "p": (2, 2),
                "s": (2, 1), "b": (3, 3), "a": (3, 2), "A": (3, 2), "g": (3, 1),
-               "c": (0, 1)}
-SLOT_TOKENS = set("fpsbaAgc")
+               "c": (0, 1), "u": (0, 1), "D": (1, 2), "e": (1, 0), "S": (1, 1),
+               "T": (2, 2), "x": (2, 1), "z": (1, 2), "y": (1, 1), "L": (1, 0)}
+SLOT_TOKENS = set("fpsbaAgcxzyL")
 
 
 def test_every_term_table_row_is_well_typed():
     def arity(word):
         return tuple(sum(TOKEN_ARITY[t][k] for t in word) for k in (0, 1))
 
+    hopf_axioms = {"associativity": (3, 1), "unit-left": (1, 1), "unit-right": (1, 1),
+                   "coassociativity": (1, 3), "counit-left": (1, 1), "counit-right": (1, 1),
+                   "bialgebra": (2, 2), "counit-multiplicative": (2, 0),
+                   "coproduct-of-unit": (0, 2), "counit-of-unit": (0, 0),
+                   "antipode-left": (1, 1), "antipode-right": (1, 1)}
+    # (name, table, {entry: target (in, out)}, cochain slots per row)
     tables = [
-        ("AXIOM_TERMS", AXIOM_TERMS, {"yb": (3, 3), "yi": (3, 2), "iy": (3, 2), "assoc": (3, 1)}),
-        ("HOCHSCHILD_D0_TERMS", {"d0": HOCHSCHILD_D0_TERMS}, {"d0": (1, 1)}),
-        ("D1_TERMS", D1_TERMS, {name: (a, b) for name, a, b in C2}),
-        ("D2_TERMS", D2_TERMS, {name: (a, b) for name, a, b in C3}),
-        ("D3_TERMS", D3_TERMS, {name: (a, b) for name, a, b in C4}),
+        ("AXIOM_TERMS", AXIOM_TERMS, {"yb": (3, 3), "yi": (3, 2), "iy": (3, 2), "assoc": (3, 1),
+                                      "unit_left": (1, 1), "unit_right": (1, 1)}, 0),
+        ("HOCHSCHILD_D0_TERMS", {"d0": HOCHSCHILD_D0_TERMS}, {"d0": (1, 1)}, 1),
+        ("D1_TERMS", D1_TERMS, {name: (a, b) for name, a, b in C2}, 1),
+        ("D2_TERMS", D2_TERMS, {name: (a, b) for name, a, b in C3}, 1),
+        ("D3_TERMS", D3_TERMS, {name: (a, b) for name, a, b in C4}, 1),
+        ("HOPF_AXIOM_TERMS", hopf.HOPF_AXIOM_TERMS, hopf_axioms, 0),
+        ("HOPF_FLAG_TERMS", hopf.HOPF_FLAG_TERMS,
+         {"commutative": (2, 1), "cocommutative": (1, 2), "involutory": (1, 1)}, 0),
+        ("HOPF_COCYCLE_TERMS", hopf.HOPF_COCYCLE_TERMS,
+         {"algebra-cocycle": (3, 1), "coalgebra-cocycle": (1, 3),
+          "bialgebra-compatibility": (2, 2)}, 1),
+        ("NORMALIZATION_TERMS", dict(enumerate(hopf.NORMALIZATION_TERMS)),
+         dict.fromkeys(range(4), (1, 1)), 1),
+        ("HEXAGON_TERMS", dict(enumerate(hopf.HEXAGON_TERMS)), dict.fromkeys(range(2), (1, 1)), 1),
+        ("ANTIPODE_CORRECTION_TERMS", {"s1": hopf.ANTIPODE_CORRECTION_TERMS}, {"s1": (1, 1)}, 1),
+        ("COBOUNDARY_ZETA_TERMS", {"zeta": hopf.COBOUNDARY_ZETA_TERMS}, {"zeta": (1, 2)}, 1),
+        ("LEFT_INTEGRAL_TERMS", {"lam": hopf.LEFT_INTEGRAL_TERMS}, {"lam": (1, 1)}, 1),
     ]
-    for table_name, table, targets in tables:
+    for table_name, table, targets, slot_count in tables:
         assert set(table) == set(targets), table_name
         for name, rows in table.items():
+            assert rows, f"{table_name}[{name!r}] has no rows"
             for row in rows:
                 sign, lifts = row
                 where = f"{table_name}[{name!r}] row {row}"
@@ -163,7 +185,7 @@ def test_every_term_table_row_is_well_typed():
                         f"{where}: word {left!r} does not chain onto {right!r}"
                 assert (arity(lifts[-1])[0], arity(lifts[0])[1]) == targets[name], where
                 slots = [t for word in lifts for t in word if t in SLOT_TOKENS]
-                assert len(slots) == (0 if table is AXIOM_TERMS else 1), where
+                assert len(slots) == slot_count, where
     # the product-crossing loop and its mirror are the same rows up to sign
     assert Counter(D3_TERMS["prod_iy"]) == Counter((-sign, lifts)
                                                    for sign, lifts in D3_TERMS["prod_yi"])

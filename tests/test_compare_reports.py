@@ -25,6 +25,7 @@ def test_compare_reports_same_tree_is_byte_identical(tmp_path):
     # z2_adjoint over F2 has cocycles that extend and ones that do not
     assert {codes[n] for n in codes if ".extend" in n} == {0, 1}
     assert codes["z2_adjoint-F2.cohomology3.json"] == 0
+    assert codes["hopf-kS3-F2.cohomology2.json"] == codes["hopf-dual-F2.check.json"] == 0
     assert json.loads((tmp_path / "a" / "exit_codes.json").read_text()) == codes
     (tmp_path / "b" / "z2_adjoint-F2.check.json").write_text("{}")
     assert tool.diff_dirs(tmp_path / "a", tmp_path / "b") == ["z2_adjoint-F2.check.json"]
@@ -55,3 +56,31 @@ def test_write_reports_adds_degree3_over_f3_for_small_fixtures(tmp_path):
                                specs={})
     assert codes == {"z2_adjoint-F3.algebra.json": 0, "z2_adjoint-F3.cohomology3.json": 0}
     assert json.loads((tmp_path / "z2_adjoint-F3.cohomology3.json").read_text())["degree"] == 3
+
+
+def test_hopf_docs_are_the_library_hopf_algebras(tmp_path, capsys):
+    from ybh.cli import main
+    from ybh.constructions import FiniteGroup
+    from ybh.hopf import dual_numbers_hopf, group_hopf
+    from ybh.scalars import GF, QQ
+    from ybh.serialize import algebra_from_json
+
+    tool = _tool()
+    docs = tool.hopf_docs({"Q": [], "F2": []})
+    assert sorted(docs) == sorted([f"hopf-{g}-{tag}" for g in ("kZ2", "kZ3", "kS3")
+                                   for tag in ("Q", "F2")] + ["hopf-dual-F2", "hopf-kZ3-S1-Q"])
+
+    def maps(h):
+        return h.mu, h.eta, h.delta, h.epsilon, h.antipode
+
+    for stem, h in [("hopf-kZ2-Q", group_hopf(FiniteGroup.cyclic(2), QQ)),
+                    ("hopf-kZ3-F2", group_hopf(FiniteGroup.cyclic(3), GF(2))),
+                    ("hopf-dual-F2", dual_numbers_hopf(GF(2)))]:
+        assert maps(algebra_from_json(docs[stem])) == maps(h)
+    # S = 1 on k[Z/3] fails exactly the two antipode axioms
+    path = tmp_path / "s1.json"
+    path.write_text(json.dumps(docs["hopf-kZ3-S1-Q"]))
+    assert main(["check", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in report["checks"] if not c["ok"]] == ["antipode-left",
+                                                                   "antipode-right"]

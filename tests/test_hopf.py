@@ -4,7 +4,7 @@ import pytest
 
 from ybh import braided, hopf
 from ybh.braided import braided_multiplication
-from ybh.cohomology import delta1, differential_matrix, flatten2
+from ybh.cohomology import delta1, differential_matrix, flatten2, hochschild_differential
 from ybh.constructions import FiniteGroup, from_heap
 from ybh.errors import InputError, InternalCheckError, ValidationError
 from ybh.fixtures import build_fixture
@@ -18,7 +18,7 @@ from ybh.linalg import in_span
 from ybh.rng import SplitMix64
 from ybh.scalars import GF, QQ, TruncatedRing
 from ybh.tensor import (TensorMap, compose, encode_index, identity_map,
-                        random_map, transposition, truncated_from_parts)
+                        random_map, transposition, truncated_from_parts, truncated_part)
 
 
 def test_group_hopf_axioms_and_flags():
@@ -404,6 +404,102 @@ def test_normalized_cocycle_basis_dual_numbers():
         assert is_hopf_2cocycle(h, c)
         pair = psi_map(h, c)  # raises if (Psi, xi) is not a YBH 2-cocycle
         assert pair.psi == c.xi
+
+
+# Reference route, independent of the term tables in hopf.py: the 2-cocycle
+# and normalization conditions as hand-written composites.  Its coalgebra
+# condition is the negative of the linearized coassociativity row.
+
+def _reference_cocycle_defects(h, c):
+    f, d = h.field, h.dim
+    one = identity_map(f, d, 1)
+    tau = transposition(f, d)
+    mu, delta = h.mu, h.delta
+    xi, zeta = c.xi, c.zeta
+    alg = hochschild_differential(mu, 2, xi)
+    coalg = compose(one.tensor(zeta), delta) + compose(one.tensor(delta), zeta) \
+        - compose(zeta.tensor(one), delta) - compose(delta.tensor(one), zeta)
+    # Delta^13(x) Delta^24(y) compiles to the shuffle (1 ox tau ox 1)(Delta ox Delta)
+    shuffle = compose(one.tensor(tau).tensor(one), delta.tensor(delta))
+    compat = compose(delta, xi) + compose(zeta, mu) \
+        - compose(mu.tensor(xi), shuffle) - compose(xi.tensor(mu), shuffle) \
+        - compose(mu.tensor(mu), one.tensor(tau).tensor(one), zeta.tensor(delta)) \
+        - compose(mu.tensor(mu), one.tensor(tau).tensor(one), delta.tensor(zeta))
+    return [("algebra-cocycle", alg), ("coalgebra-cocycle", coalg),
+            ("bialgebra-compatibility", compat)]
+
+
+def _reference_normalization_defects(h, c):
+    one = identity_map(h.field, h.dim, 1)
+    return [compose(c.xi, h.eta.tensor(one)), compose(c.xi, one.tensor(h.eta)),
+            compose(one.tensor(h.epsilon), c.zeta), compose(h.epsilon.tensor(one), c.zeta)]
+
+
+_S3 = FiniteGroup.symmetric(3)
+_FIRST_ORDER_CASES = {f"{g}-{fname}": (lambda g=group, f=field: group_hopf(g, f))
+                      for g, group in (("kZ2", _Z2), ("kZ3", _Z3), ("kS3", _S3))
+                      for fname, field in (("Q", QQ), ("F2", GF(2)), ("F5", GF(5)))}
+_FIRST_ORDER_CASES["dual-F2"] = lambda: dual_numbers_hopf(GF(2))
+
+
+@pytest.mark.parametrize("name", list(_FIRST_ORDER_CASES))
+def test_first_order_tables_are_the_hbar_part_of_the_hopf_axioms(name):
+    # (a) the cocycle conditions are the reference ones, the coalgebra one
+    # negated; (b) every linearized table is the hbar^1 coefficient of its
+    # axiom's defect at (mu + hbar xi, Delta + hbar zeta, S + hbar S') over
+    # k[hbar]/(hbar^2), eta and epsilon fixed
+    h = _FIRST_ORDER_CASES[name]()
+    rng = SplitMix64(31)
+    ring = TruncatedRing(h.field, 2)
+    tables = [*zip(("associativity", "coassociativity", "bialgebra"),
+                   hopf.HOPF_COCYCLE_TERMS.values()),
+              *zip(("unit-left", "unit-right", "counit-right", "counit-left"),
+                   hopf.NORMALIZATION_TERMS),
+              *zip(("antipode-left", "antipode-right"), hopf.HEXAGON_TERMS)]
+    for _ in range(2):
+        xi, zeta, s1 = (random_map(h.field, h.dim, n, k, rng, span=3)
+                        for n, k in ((2, 1), (1, 2), (1, 1)))
+        c = HopfTwoCochain(xi, zeta)
+        names, reference = zip(*_reference_cocycle_defects(h, c))
+        assert hopf._first_order_defects(h, c, hopf.HOPF_COCYCLE_TERMS.values()) == \
+            [reference[0], -reference[1], reference[2]]
+        assert tuple(r.name for r in check_hopf_2cocycle(h, c)) == names
+        words = hopf._words(h, x=xi, z=zeta, y=s1)
+        deformed = {t: truncated_from_parts(ring, [m, words.get(slot)]) for t, m, slot in (
+            ("m", h.mu, "x"), ("u", h.eta, None), ("D", h.delta, "z"),
+            ("e", h.epsilon, None), ("S", h.antipode, "y"), ("T", words["T"], None))}
+        for axiom, rows in tables:
+            defect = braided.sum_terms(hopf.HOPF_AXIOM_TERMS[axiom], deformed, {})
+            assert truncated_part(defect, 1) == braided.sum_terms(rows, words, {}), axiom
+
+
+@pytest.mark.parametrize("name,field", [(g, f) for g in ("kZ2", "kZ3") for f in ("Q", "F2", "F3")]
+                         + [("dual", "F2")])
+def test_normalized_cocycle_basis_is_the_reference_kernel(name, field):
+    # the kernel of the reference conditions, entry for entry: the RREF is
+    # unique, so the negated coalgebra rows change nothing
+    fields = {"Q": QQ, "F2": GF(2), "F3": GF(3)}
+    h = (dual_numbers_hopf(GF(2)) if name == "dual"
+         else group_hopf(_Z2 if name == "kZ2" else _Z3, fields[field]))
+
+    def conditions(xi, zeta):
+        c = HopfTwoCochain(xi, zeta)
+        return ([t for _, t in _reference_cocycle_defects(h, c)]
+                + _reference_normalization_defects(h, c))
+
+    m = HopfTwoCochain.SUMMANDS.matrix(h.field, h.dim, conditions)
+    expected = [HopfTwoCochain.unflatten(v, h.field, h.dim).flatten() for v in m.kernel_basis()]
+    assert [c.flatten() for c in normalized_cocycle_basis(h)] == expected
+
+
+def test_hexagons_reject_a_wrong_antipode_correction():
+    # antipode_correction verifies the hexagon rows at its S'; both fail at 2 S'
+    h = group_hopf(_Z3, GF(5))
+    c = hopf_coboundary(h, _normalized_f_basis(h)[0])
+    s1 = antipode_correction(h, c)
+    assert not s1.is_zero()
+    wrong = hopf._words(h, x=c.xi, z=c.zeta, y=s1.scale(GF(5).add(1, 1)))
+    assert not any(braided.sum_terms(rows, wrong, {}).is_zero() for rows in hopf.HEXAGON_TERMS)
 
 
 def test_psi_map_rejects_non_cocycles():

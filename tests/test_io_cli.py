@@ -331,6 +331,21 @@ def test_cli_tensor_document_fields_must_be_ints(tmp_path, capsys, field, value)
     _assert_input_error(capsys, ["deform", "--extend", str(cfile)])
 
 
+@pytest.mark.parametrize("dims", [(3, 3), (2000, 2)], ids=["both-d3", "phi-d2000"])
+def test_cli_extend_rejects_a_cochain_of_another_dimension(tmp_path, capsys, dims):
+    # a cochain whose parts do not live on its algebra's V is malformed input
+    b = build_fixture("z2_adjoint", QQ)
+    cdoc = {"algebra": algebra_to_json(b)}
+    cdoc.update(cochain2_to_json(YBH2Cochain(TensorMap.zero(QQ, dims[1], 2, 2),
+                                             TensorMap.zero(QQ, dims[1], 2, 1))))
+    cdoc["phi"]["dim"] = dims[0]
+    cfile = tmp_path / "cocycle.json"
+    cfile.write_text(json.dumps(cdoc))
+    assert main(["deform", "--extend", str(cfile)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: bad cochain: phi has dimension {dims[0]}, its algebra has 2\n"
+
+
 @pytest.mark.parametrize("mode", ["--extend", "--series"])
 def test_cli_deform_rejects_a_hopf_base(tmp_path, capsys, mode):
     # a Hopf algebra document carries no braiding to deform: exit 2 before

@@ -22,6 +22,11 @@ The report set, over Q, F2 and F101:
   braided Frobenius algebra of Z/4 and the transposition braiding on
   k[S3]; d = 5 to 16): construct and check;
 
+* for Hopf algebra documents (hopf_docs: k[Z/2], k[Z/3] and k[S3], the
+  dual numbers F2[t]/(t^2) with t primitive over F2, and k[Z/3] over Q
+  with S = 1, which fails both antipode axioms): check and
+  cohomology --degree 2 --max-dim 6;
+
 and, over F3 (where z3_adjoint's private- and shared-target H^3 differ, so
 its report carries h3_shared_targets), construct and cohomology --degree 3
 for every fixture with d <= 3;
@@ -64,6 +69,41 @@ SPECS = {"mcq": {"construction": "mcq", "components": [_cyclic(2), _cyclic(3)]},
          "trivial": {"construction": "trivial", "group": _S3}}
 
 
+HOPF_GROUPS = {"kZ2": _cyclic(2), "kZ3": _cyclic(3), "kS3": _S3}
+
+
+def _field_doc(tag: str) -> dict:
+    return {"kind": "rational"} if tag == "Q" else {"kind": "prime", "p": int(tag[1:])}
+
+
+def _group_hopf_doc(table, tag: str, inverse: bool = True) -> dict:
+    """k[G] with diagonal coproduct; S is the inversion, or 1 without inverse."""
+    n = len(table)
+    e = table.index(list(range(n)))
+    return {"schema": "ybh/1", "field": _field_doc(tag), "dim": n,
+            "mu": [[x, y, table[x][y], "1"] for x in range(n) for y in range(n)],
+            "unit": [[e, "1"]], "Delta": [[x, x, x, "1"] for x in range(n)],
+            "epsilon": [[x, "1"] for x in range(n)],
+            "S": [[x, table[x].index(e) if inverse else x, "1"] for x in range(n)]}
+
+
+def hopf_docs(fields) -> dict:
+    """{stem: Hopf algebra document}: k[G] for each group of HOPF_GROUPS over
+    each field tag of fields, the dual numbers when F2 is one of them and
+    k[Z/3] with S = 1 when Q is."""
+    docs = {f"hopf-{name}-{tag}": _group_hopf_doc(table, tag)
+            for tag in fields for name, table in HOPF_GROUPS.items()}
+    if "F2" in fields:
+        docs["hopf-dual-F2"] = {
+            "schema": "ybh/1", "field": _field_doc("F2"), "dim": 2, "basis": ["1", "t"],
+            "mu": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"]], "unit": [[0, "1"]],
+            "Delta": [[0, 0, 0, "1"], [1, 1, 0, "1"], [1, 0, 1, "1"]],
+            "epsilon": [[0, "1"]], "S": [[0, 0, "1"], [1, 1, "1"]]}
+    if "Q" in fields:
+        docs["hopf-kZ3-S1-Q"] = _group_hopf_doc(_cyclic(3), "Q", inverse=False)
+    return docs
+
+
 def write_reports(out: Path, fixture_names=None, fields=FIELDS, selftest=True,
                   specs=SPECS) -> dict:
     """Write the report set of the ybh package on sys.path into out; return
@@ -89,6 +129,10 @@ def write_reports(out: Path, fixture_names=None, fields=FIELDS, selftest=True,
             run(f"{stem}.algebra.json", "construct", "--input",
                 put(f"{stem}.spec.json", spec), *field_args)
             run(f"{stem}.check.json", "check", str(out / f"{stem}.algebra.json"))
+    for stem, doc in hopf_docs(fields).items():
+        path = put(f"{stem}.algebra.json", doc)
+        run(f"{stem}.check.json", "check", path)
+        run(f"{stem}.cohomology2.json", "cohomology", path, "--degree", "2", "--max-dim", "6")
     for fx in fixture_names or fixtures.fixture_names():
         for tag, field_args in fields.items():
             stem = f"{fx}-{tag}"
