@@ -33,11 +33,10 @@ generated from their partners' rows by the tensor-reversal mirror
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, product
 from dataclasses import dataclass
 
-from .braided import (AXIOM_TERMS, BraidedAlgebra, assoc_defect, iy_defect, mirror_terms,
-                      sum_terms, yb_defect, yi_defect)
+from .braided import AXIOM_TERMS, BraidedAlgebra, mirror_terms, sum_terms
 from .errors import InputError, ResourceLimitError
 from .linalg import ExactMatrix
 from .scalars import TruncatedRing
@@ -124,12 +123,10 @@ def flatten_parts(parts) -> dict:
 # per structure axiom, C^4 one private summand per degree-3 coherence loop.
 C1 = Summands([("f", 1, 1)])
 C2 = Summands([("phi", 2, 2), ("psi", 2, 1)])
-C3 = Summands([
-    ("beta", 3, 3),      # Yang-Baxter equation
-    ("alpha_yi", 3, 2),  # YI mixed axiom
-    ("alpha_iy", 3, 2),  # IY mixed axiom
-    ("gamma", 3, 1),     # associativity
-])
+C3 = Summands([("beta", 3, 3), ("alpha_yi", 3, 2), ("alpha_iy", 3, 2), ("gamma", 3, 1)])
+# The axiom (a key of braided.AXIOM_TERMS) behind each C^3 summand: delta2,
+# the obstruction bundles and their truncated-ring oracles all read it.
+C3_AXIOMS = {"beta": "yb", "alpha_yi": "yi", "alpha_iy": "iy", "gamma": "assoc"}
 C4 = Summands([
     ("yb", 4, 4),        # four-strand Yang-Baxter coherence
     ("slide_yi", 4, 3),  # a product sliding through a 3-strand braiding, YI side
@@ -235,14 +232,18 @@ unflatten2, unflatten3 = YBH2Cochain.unflatten, YBH3Cochain.unflatten
 # cochain slot: "c" a 0-cochain, "f" a 1-cochain, "p" phi, "s" psi, "b"
 # beta, "a" alpha_yi, "A" alpha_iy, "g" gamma.
 
-def linearize(rows, slots: dict) -> tuple:
-    """The hbar-linear part of a table when each structure token t becomes
-    t + hbar * slots[t]: each row once per occurrence of such a token, that
-    one occurrence replaced by its slot."""
-    return tuple((sign, lifts[:i] + (word[:j] + slots[t] + word[j + 1:],) + lifts[i + 1:])
-                 for sign, lifts in rows
-                 for i, word in enumerate(lifts)
-                 for j, t in enumerate(word) if t in slots)
+def linearize(rows, slots: dict, order: int = 1) -> tuple:
+    """The hbar^order part of a table when each structure token t becomes
+    t + sum_i hbar^i slots[t][i-1]: each row once per way of giving its
+    occurrences of such tokens orders (0 keeps the token) that sum to order,
+    earlier occurrences taking higher orders first.  At order 1 that is one
+    row per occurrence, that occurrence replaced, in reading order."""
+    def choices(t):
+        return [(slots[t][k - 1], k) for k in range(len(slots.get(t, "")), 0, -1)] + [(t, 0)]
+
+    return tuple((sign, tuple("".join(token for token, _ in pick).split(" ")))
+                 for sign, lifts in rows for pick in product(*map(choices, " ".join(lifts)))
+                 if sum(k for _, k in pick) == order)
 
 
 HOCHSCHILD_D0_TERMS = ((+1, ("m", "1c")), (-1, ("m", "c1")))
@@ -253,8 +254,8 @@ D1_TERMS = {
 }
 
 # delta2 linearizes the four axioms at (mu, R) in the direction (phi, psi).
-D2_TERMS = {name: linearize(AXIOM_TERMS[axiom], {"R": "p", "m": "s"}) for name, axiom in
-            (("beta", "yb"), ("alpha_yi", "yi"), ("alpha_iy", "iy"), ("gamma", "assoc"))}
+D2_TERMS = {name: linearize(AXIOM_TERMS[axiom], {"R": "p", "m": "s"})
+            for name, axiom in C3_AXIOMS.items()}
 
 
 def _lifts(x, key: str) -> tuple:
@@ -320,15 +321,21 @@ def mixed_differential_d2(b: BraidedAlgebra, c: YBH2Cochain):
                               D2_TERMS["alpha_yi"], D2_TERMS["alpha_iy"]))
 
 
+def axiom_defect_coefficients(mu_t: TensorMap, r_t: TensorMap, j: int) -> tuple:
+    """The hbar^j coefficients of the four axiom defects of (mu_t, R_t) over
+    a truncated ring, one per C^3 summand: ring arithmetic on the axiom
+    rows, the independent route to their order-j parts (linearize)."""
+    maps = {"m": mu_t, "R": r_t}
+    return tuple(truncated_part(sum_terms(AXIOM_TERMS[axiom], maps, {}), j)
+                 for axiom in C3_AXIOMS.values())
+
+
 def delta2_oracle(b: BraidedAlgebra, c: YBH2Cochain) -> YBH3Cochain:
     """Independent route to delta^2: the hbar coefficient of the four axiom
-    defects (YBE, YI, IY, associativity) of (mu + hbar psi, R + hbar phi)
-    over k[hbar]/(hbar^2)."""
+    defects of (mu + hbar psi, R + hbar phi) over k[hbar]/(hbar^2)."""
     ring = TruncatedRing(b.field, 2)
-    mu_t = truncated_from_parts(ring, [b.mu, c.psi])
-    r_t = truncated_from_parts(ring, [b.r, c.phi])
-    return YBH3Cochain(*(truncated_part(t, 1) for t in (
-        yb_defect(r_t), yi_defect(mu_t, r_t), iy_defect(mu_t, r_t), assoc_defect(mu_t))))
+    return YBH3Cochain(*axiom_defect_coefficients(truncated_from_parts(ring, [b.mu, c.psi]),
+                                                  truncated_from_parts(ring, [b.r, c.phi]), 1))
 
 
 def delta1(b: BraidedAlgebra, f: TensorMap) -> YBH2Cochain:

@@ -4,29 +4,31 @@ A series (mu + hbar psi_1 + ... + hbar^n psi_n, R + hbar phi_1 + ...) is an
 order-n deformation exactly when all four structure axioms hold over
 k[hbar]/(hbar^(n+1)).  Verification always goes through the truncated ring:
 one code path covers every axiom at every order and cannot drift from the
-combinatorial bookkeeping of the obstruction sums.
+bookkeeping of the bundle tables.
 
-The degree-r obstruction bundle is computed twice: by the index sums over
-Gamma_r = {(i,j,k) : i+j+k = r, all indices < r} (production path), and by
-reading the hbar^r coefficient of the axiom defects of the order-(r-1)
-series (oracle path, used by the tests).  For r = 2 the bundle of any
-2-cocycle is annihilated by the degree-3 differential, and extending to a
-quadratic deformation is the exact linear problem D2 x = -bundle.
+The degree-r obstruction bundle, the hbar^r part of the axiom defects of
+the order-(r-1) series, is computed twice: as an order-r read of the axiom
+rows (bundle_terms; production path), and as the hbar^r coefficient of the
+defects over k[hbar]/(hbar^(r+1)) (oracle path, used by the tests).  For
+r = 2 the bundle of any 2-cocycle is annihilated by the degree-3
+differential, and extending to a quadratic deformation is the exact linear
+problem D2 x = -bundle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from .braided import (BraidedAlgebra, _witness, assoc_defect, iy_defect,
+from .braided import (AXIOM_TERMS, BraidedAlgebra, _witness, assoc_defect, iy_defect,
                       yb_defect, yi_defect)
-from .cohomology import (YBH2Cochain, YBH3Cochain, delta1, delta2, delta3,
-                         differential_matrix)
+from .cohomology import (C3_AXIOMS, YBH2Cochain, YBH3Cochain, _read_tables,
+                         axiom_defect_coefficients, delta1, delta2, delta3,
+                         differential_matrix, linearize)
 from .errors import InputError, InternalCheckError
 from .linalg import SolveCertificate
 from .scalars import TruncatedRing
-from .tensor import (TensorMap, compose, identity_map, truncated_from_parts,
-                     truncated_part)
+from .tensor import TensorMap, identity_map, truncated_from_parts, truncated_part
 
 
 @dataclass
@@ -48,18 +50,11 @@ class DeformationSeries:
     def order(self) -> int:
         return len(self.phi_terms)
 
-    def phi(self, i: int) -> TensorMap:
-        return self.base.r if i == 0 else self.phi_terms[i - 1]
-
-    def psi(self, i: int) -> TensorMap:
-        return self.base.mu if i == 0 else self.psi_terms[i - 1]
-
     def truncated_maps(self, ring_order: int):
         """(mu_n, R_n) over k[hbar]/(hbar^ring_order), higher terms dropped."""
         ring = TruncatedRing(self.base.field, ring_order)
-        mu_parts = [self.psi(i) if i <= self.order else None for i in range(ring_order)]
-        r_parts = [self.phi(i) if i <= self.order else None for i in range(ring_order)]
-        return truncated_from_parts(ring, mu_parts), truncated_from_parts(ring, r_parts), ring
+        return (truncated_from_parts(ring, [self.base.mu, *self.psi_terms][:ring_order]),
+                truncated_from_parts(ring, [self.base.r, *self.phi_terms][:ring_order]), ring)
 
     def truncate(self, order: int) -> "DeformationSeries":
         if order > self.order:
@@ -130,47 +125,42 @@ def _truncated_inverse(r_t: TensorMap, r0_inv: TensorMap, ring) -> TensorMap:
 # ---------------------------------------------------------------- obstruction bundles
 
 class ObstructionBundle(YBH3Cochain):
-    """A degree-r obstruction bundle: the C^3 cochain (theta, xi - omega_YI,
-    xi - omega_IY, lambda) in the fields beta, alpha_yi, alpha_iy, gamma."""
+    """A degree-r obstruction bundle: the C^3 cochain of the hbar^r parts
+    of the YBE, YI, IY and associativity defects of an order-(r-1) series,
+    in the summands beta, alpha_yi, alpha_iy, gamma."""
 
     def as_cochain3(self) -> YBH3Cochain:
         return YBH3Cochain(*self.parts())
 
 
-def gamma_indices(r: int) -> list:
-    """Triples (i,j,k) with i+j+k = r and no index equal to r."""
-    return [(i, j, r - i - j) for i in range(r + 1) for j in range(r + 1 - i)
-            if r - i - j >= 0 and i != r and j != r and (r - i - j) != r]
+def series_slots(n: int) -> dict:
+    """One-character slot tokens for the terms of an order-n series, keyed
+    by the structure token they deform: phi_i is chr(0xE000 + 2i) and psi_i
+    chr(0xE001 + 2i), private-use code points no table word uses."""
+    return {t: "".join(chr(0xE000 + 2 * i + k) for i in range(1, n + 1))
+            for k, t in enumerate("Rm")}
+
+
+@cache
+def bundle_terms(r: int) -> dict:
+    """The degree-r bundle as term tables, one per C^3 summand: the hbar^r
+    part of its axiom's rows when R and mu carry the terms of an order-(r-1)
+    series (series_slots).  No slot has order r: the delta2 rows drop out."""
+    slots = series_slots(r - 1)
+    return {name: linearize(AXIOM_TERMS[axiom], slots, r) for name, axiom in C3_AXIOMS.items()}
 
 
 def obstruction_bundle(s: DeformationSeries, r: int) -> ObstructionBundle:
-    """Index-sum form of the degree-r obstruction quadruple."""
+    """The degree-r obstruction bundle of s: bundle_terms(r) read at the
+    algebra's structure maps with the slots filled from s."""
     if r < 2:
         raise InputError("obstruction bundles start at degree 2")
     if s.order < r - 1:
         raise InputError(f"series of order {s.order} has no degree-{r} obstruction")
-    b = s.base
-    one = identity_map(b.field, b.dim, 1)
-    d = b.dim
-    theta = TensorMap.zero(b.field, d, 3, 3)
-    xi_yi = TensorMap.zero(b.field, d, 3, 2)
-    xi_iy = TensorMap.zero(b.field, d, 3, 2)
-    for (i, j, k) in gamma_indices(r):
-        pi, pj, pk = s.phi(i), s.phi(j), s.phi(k)
-        theta = theta + compose(pi.tensor(one), one.tensor(pj), pk.tensor(one)) \
-            - compose(one.tensor(pi), pj.tensor(one), one.tensor(pk))
-        xi_yi = xi_yi + compose(s.psi(i).tensor(one), one.tensor(pj), pk.tensor(one))
-        xi_iy = xi_iy + compose(one.tensor(s.psi(i)), pj.tensor(one), one.tensor(pk))
-    omega_yi = TensorMap.zero(b.field, d, 3, 2)
-    omega_iy = TensorMap.zero(b.field, d, 3, 2)
-    lam = TensorMap.zero(b.field, d, 3, 1)
-    for p in range(1, r):
-        q = r - p
-        omega_yi = omega_yi + compose(s.phi(p), one.tensor(s.psi(q)))
-        omega_iy = omega_iy + compose(s.phi(p), s.psi(q).tensor(one))
-        lam = lam + compose(s.psi(p), s.psi(q).tensor(one)) \
-            - compose(s.psi(p), one.tensor(s.psi(q)))
-    return ObstructionBundle(theta, xi_yi - omega_yi, xi_iy - omega_iy, lam)
+    slots = series_slots(r - 1)
+    terms = {**dict(zip(slots["R"], s.phi_terms)), **dict(zip(slots["m"], s.psi_terms))}
+    return ObstructionBundle(*_read_tables(s.base, ("mu", "r"), terms,
+                                           *bundle_terms(r).values()))
 
 
 def obstruction_bundle_oracle(s: DeformationSeries, r: int) -> ObstructionBundle:
@@ -179,11 +169,7 @@ def obstruction_bundle_oracle(s: DeformationSeries, r: int) -> ObstructionBundle
     if r < 2:
         raise InputError("obstruction bundles start at degree 2")
     mu_t, r_t, _ = s.truncate(min(s.order, r - 1)).truncated_maps(r + 1)
-    return ObstructionBundle(
-        beta=truncated_part(yb_defect(r_t), r),
-        alpha_yi=truncated_part(yi_defect(mu_t, r_t), r),
-        alpha_iy=truncated_part(iy_defect(mu_t, r_t), r),
-        gamma=truncated_part(assoc_defect(mu_t), r))
+    return ObstructionBundle(*axiom_defect_coefficients(mu_t, r_t, r))
 
 
 def obstruction_is_cocycle(b: BraidedAlgebra, c: YBH2Cochain) -> bool:

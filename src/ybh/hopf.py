@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .braided import (AXIOM_TERMS, AssociativeAlgebra, BraidedAlgebra, YangBaxterOperator,
-                      _check, assert_braided, braided_algebra, sum_terms)
+                      _check, _lift, assert_braided, braided_algebra, sum_terms)
 from .cohomology import (Cochain, Summands, YBH2Cochain, delta2 as ybh_delta2,
                          hochschild_differential, linearize)
 from .constructions import FiniteGroup, dual_numbers
@@ -88,7 +88,7 @@ def _words(h, **slots) -> dict:
     """h's structure maps by token, with the slots filled: the maps of a
     sum_terms read and its {word: lift} dict."""
     return {"m": h.mu, "u": h.eta, "D": h.delta, "e": h.epsilon, "S": h.antipode,
-            "T": transposition(h.field, h.dim), **slots}
+            "T": h.tau, **slots}
 
 
 class HopfAlgebra:
@@ -111,6 +111,7 @@ class HopfAlgebra:
         self._checks: list | None = None
         self._flags: dict | None = None
         self._braided: BraidedAlgebra | None = None
+        self.tau = transposition(field, dim)
 
     @property
     def mu(self) -> TensorMap:
@@ -352,8 +353,8 @@ def hopf_coboundary(h: HopfAlgebra, f: TensorMap) -> HopfTwoCochain:
                           zeta=sum_terms(COBOUNDARY_ZETA_TERMS, words, words))
 
 
-def _first_order_defects(h: HopfAlgebra, c: HopfTwoCochain, tables) -> list:
-    words = _words(h, x=c.xi, z=c.zeta)
+def _first_order_defects(h: HopfAlgebra, c: HopfTwoCochain, tables, lifted=None) -> list:
+    words = {**(lifted or _words(h)), "x": c.xi, "z": c.zeta}
     return [sum_terms(rows, words, words) for rows in tables]
 
 
@@ -428,6 +429,10 @@ def normalized_cocycle_basis(h: HopfAlgebra) -> list:
     """
     h.require()
     tables = (*HOPF_COCYCLE_TERMS.values(), *NORMALIZATION_TERMS)
-    m = HopfTwoCochain.SUMMANDS.matrix(
-        h.field, h.dim, lambda xi, zeta: _first_order_defects(h, HopfTwoCochain(xi, zeta), tables))
+    # The slot-free words are lifted once; each column's read copies them.
+    lifted = _words(h)
+    words = {word for rows in tables for _, lifts in rows for word in lifts}
+    lifted.update((word, _lift(word, lifted)) for word in words if {"x", "z"}.isdisjoint(word))
+    m = HopfTwoCochain.SUMMANDS.matrix(h.field, h.dim, lambda xi, zeta: _first_order_defects(
+        h, HopfTwoCochain(xi, zeta), tables, lifted))
     return [HopfTwoCochain.unflatten(v, h.field, h.dim) for v in m.kernel_basis()]

@@ -18,10 +18,11 @@ from ybh.cohomology import (C2, C3, C4, D1_TERMS, D2_TERMS, D3_TERMS, HOCHSCHILD
                             cohomology_dimension, delta1, delta2, delta2_oracle,
                             delta3, delta3_components, differential_matrix,
                             flatten2, flatten3, h3_dimension,
-                            hochschild_differential, iota_r,
+                            hochschild_differential, iota_r, linearize,
                             mixed_differential_d2, shared_target_matrix,
                             unflatten2, unflatten3,
                             yang_baxter_differential, yb_differential_d3)
+from ybh.deformation import bundle_terms, series_slots
 from ybh.braided import braided_multiplication
 from ybh.errors import InputError, ResourceLimitError
 from ybh.fixtures import build_fixture
@@ -141,8 +142,14 @@ SLOT_TOKENS = set("fpsbaAgcxzyL")
 
 
 def test_every_term_table_row_is_well_typed():
+    # the generated bundle tables' slots: phi_i and psi_i tokens of order i
+    token_arity, slot_orders = dict(TOKEN_ARITY), {}
+    for structure, tokens in series_slots(2).items():
+        for i, token in enumerate(tokens, 1):
+            token_arity[token], slot_orders[token] = TOKEN_ARITY[structure], i
+
     def arity(word):
-        return tuple(sum(TOKEN_ARITY[t][k] for t in word) for k in (0, 1))
+        return tuple(sum(token_arity[t][k] for t in word) for k in (0, 1))
 
     hopf_axioms = {"associativity": (3, 1), "unit-left": (1, 1), "unit-right": (1, 1),
                    "coassociativity": (1, 3), "counit-left": (1, 1), "counit-right": (1, 1),
@@ -170,6 +177,10 @@ def test_every_term_table_row_is_well_typed():
         ("COBOUNDARY_ZETA_TERMS", {"zeta": hopf.COBOUNDARY_ZETA_TERMS}, {"zeta": (1, 2)}, 1),
         ("LEFT_INTEGRAL_TERMS", {"lam": hopf.LEFT_INTEGRAL_TERMS}, {"lam": (1, 1)}, 1),
     ]
+    # a degree-r bundle row has slots of orders summing to r, none of order r
+    bundle_orders = {f"bundle_terms({r})": r for r in (2, 3)}
+    tables += [(name, bundle_terms(r), {name: (a, b) for name, a, b in C3}, None)
+               for name, r in bundle_orders.items()]
     for table_name, table, targets, slot_count in tables:
         assert set(table) == set(targets), table_name
         for name, rows in table.items():
@@ -179,16 +190,39 @@ def test_every_term_table_row_is_well_typed():
                 where = f"{table_name}[{name!r}] row {row}"
                 assert sign in (+1, -1), where
                 for word in lifts:
-                    assert set(word) <= set(TOKEN_ARITY), f"{where}: word {word!r}"
+                    assert set(word) <= set(token_arity), f"{where}: word {word!r}"
                 for left, right in zip(lifts, lifts[1:]):
                     assert arity(left)[0] == arity(right)[1], \
                         f"{where}: word {left!r} does not chain onto {right!r}"
                 assert (arity(lifts[-1])[0], arity(lifts[0])[1]) == targets[name], where
-                slots = [t for word in lifts for t in word if t in SLOT_TOKENS]
-                assert len(slots) == slot_count, where
+                slots = [t for word in lifts for t in word if t in SLOT_TOKENS | set(slot_orders)]
+                if slot_count is None:
+                    orders = [slot_orders[t] for t in slots]
+                    r = bundle_orders[table_name]
+                    assert sum(orders) == r and r not in orders, where
+                else:
+                    assert len(slots) == slot_count, where
+    # one YBE row per (i, j, k) with i + j + k = r and no index r: the ten
+    # compositions of 3 less the three with an index 3
+    assert [len(bundle_terms(r)["beta"]) for r in (2, 3)] == [2 * 3, 2 * 7]
     # the product-crossing loop and its mirror are the same rows up to sign
     assert Counter(D3_TERMS["prod_iy"]) == Counter((-sign, lifts)
                                                    for sign, lifts in D3_TERMS["prod_yi"])
+
+
+def test_linearize_enumerates_occurrences_in_reading_order():
+    # order 1: one occurrence replaced at a time, first occurrence first
+    assert linearize(AXIOM_TERMS["yb"], {"R": "p"}) == (
+        (+1, ("p1", "1R", "R1")), (+1, ("R1", "1p", "R1")), (+1, ("R1", "1R", "p1")),
+        (-1, ("1p", "R1", "1R")), (-1, ("1R", "p1", "1R")), (-1, ("1R", "R1", "1p")))
+    assert linearize(AXIOM_TERMS["yi"], {"R": "p", "m": "s"}) == (
+        (+1, ("s1", "1R", "R1")), (+1, ("m1", "1p", "R1")), (+1, ("m1", "1R", "p1")),
+        (-1, ("p", "1m")), (-1, ("R", "1s")))
+    # order 2 with R -> R + hbar p + hbar^2 q: the first occurrence takes the
+    # highest order first; a row without the token drops out
+    rows = ((+1, ("R", "R")), (-1, ("1",)))
+    assert linearize(rows, {"R": "pq"}, 2) == (
+        (+1, ("q", "R")), (+1, ("p", "p")), (+1, ("R", "q")))
 
 
 D2_ORACLE_CASES = [(name, field, None) for name in ("z2_adjoint", "z3_adjoint", "dual_trivial")

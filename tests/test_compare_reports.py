@@ -50,11 +50,17 @@ def test_finish_removes_the_trees_only_when_byte_identical(tmp_path, capsys):
 
 
 def test_write_reports_adds_degree3_over_f3_for_small_fixtures(tmp_path):
-    # cohomology --degree 3 over F3 for every fixture with d <= 3 only
+    # the fixture reports over F3, degree 3 and the deformations included,
+    # for every fixture with d <= 3 only
     tool = _tool()
     codes = tool.write_reports(tmp_path, ["z2_adjoint", "heap_z2"], {}, selftest=False,
                                specs={})
-    assert codes == {"z2_adjoint-F3.algebra.json": 0, "z2_adjoint-F3.cohomology3.json": 0}
+    # z2_adjoint over F3 has a four-cocycle Z^2 basis
+    assert sorted(codes) == sorted(
+        [f"z2_adjoint-F3.{kind}.json" for kind in ("algebra", "check", "cohomology2",
+                                                   "cohomology3")]
+        + [f"z2_adjoint-F3.{kind}{i}.json" for kind in ("extend", "verify") for i in range(4)])
+    assert set(codes.values()) == {0}
     assert json.loads((tmp_path / "z2_adjoint-F3.cohomology3.json").read_text())["degree"] == 3
 
 

@@ -28,8 +28,8 @@ The report set, over Q, F2 and F101:
   cohomology --degree 2 --max-dim 6;
 
 and, over F3 (where z3_adjoint's private- and shared-target H^3 differ, so
-its report carries h3_shared_targets), construct and cohomology --degree 3
-for every fixture with d <= 3;
+its report carries h3_shared_targets, and its H^2 is 12), the fixture
+reports above for every fixture with d <= 3;
 
 plus selftest --trials 20 for primes 2 and 101, with and without
 --max-dim 2.  The exit code of every command goes to exit_codes.json, which
@@ -49,7 +49,8 @@ from pathlib import Path
 FIELDS = {"Q": ["--field", "q"],
           "F2": ["--field", "prime", "--prime", "2"],
           "F101": ["--field", "prime", "--prime", "101"]}
-DEGREE3_FIELDS = {"F3": ["--field", "prime", "--prime", "3"]}
+# Fields whose reports are written for the fixtures with d <= 3 only.
+SMALL_FIXTURE_FIELDS = {"F3": ["--field", "prime", "--prime", "3"]}
 
 
 def _cyclic(n):
@@ -133,34 +134,33 @@ def write_reports(out: Path, fixture_names=None, fields=FIELDS, selftest=True,
         path = put(f"{stem}.algebra.json", doc)
         run(f"{stem}.check.json", "check", path)
         run(f"{stem}.cohomology2.json", "cohomology", path, "--degree", "2", "--max-dim", "6")
+    def fixture_reports(fx, tag, field_args):
+        stem = f"{fx}-{tag}"
+        algebra = run(f"{stem}.algebra.json", "construct", "--fixture", fx, *field_args)
+        doc = str(out / f"{stem}.algebra.json")
+        run(f"{stem}.check.json", "check", doc)
+        if fixtures.FIXTURES[fx]["dim"] > 4:
+            return
+        report = run(f"{stem}.cohomology2.json", "cohomology", doc, "--degree", "2", "--basis")
+        if fixtures.FIXTURES[fx]["dim"] <= 3:
+            run(f"{stem}.cohomology3.json", "cohomology", doc, "--degree", "3")
+        for i, c in enumerate(report["z2_basis"] if report else []):
+            cocycle = put(f"{stem}.cocycle{i}.json", {"algebra": algebra, **c})
+            ext = run(f"{stem}.extend{i}.json", "deform", "--extend", cocycle)
+            phis, psis = [c["phi"]], [c["psi"]]
+            if ext and ext["ok"]:
+                phis.append(ext["phi2"])
+                psis.append(ext["psi2"])
+            series = put(f"{stem}.series{i}.json", {"schema": SCHEMA, "algebra": algebra,
+                                                    "phi_terms": phis, "psi_terms": psis})
+            run(f"{stem}.verify{i}.json", "deform", "--series", series)
+
     for fx in fixture_names or fixtures.fixture_names():
         for tag, field_args in fields.items():
-            stem = f"{fx}-{tag}"
-            algebra = run(f"{stem}.algebra.json", "construct", "--fixture", fx, *field_args)
-            doc = str(out / f"{stem}.algebra.json")
-            run(f"{stem}.check.json", "check", doc)
-            if fixtures.FIXTURES[fx]["dim"] > 4:
-                continue
-            report = run(f"{stem}.cohomology2.json", "cohomology", doc, "--degree", "2",
-                         "--basis")
-            if fixtures.FIXTURES[fx]["dim"] <= 3:
-                run(f"{stem}.cohomology3.json", "cohomology", doc, "--degree", "3")
-            for i, c in enumerate(report["z2_basis"] if report else []):
-                cocycle = put(f"{stem}.cocycle{i}.json", {"algebra": algebra, **c})
-                ext = run(f"{stem}.extend{i}.json", "deform", "--extend", cocycle)
-                phis, psis = [c["phi"]], [c["psi"]]
-                if ext and ext["ok"]:
-                    phis.append(ext["phi2"])
-                    psis.append(ext["psi2"])
-                series = put(f"{stem}.series{i}.json", {"schema": SCHEMA, "algebra": algebra,
-                                                        "phi_terms": phis, "psi_terms": psis})
-                run(f"{stem}.verify{i}.json", "deform", "--series", series)
-        for tag, field_args in DEGREE3_FIELDS.items():
-            if fixtures.FIXTURES[fx]["dim"] <= 3:
-                stem = f"{fx}-{tag}"
-                run(f"{stem}.algebra.json", "construct", "--fixture", fx, *field_args)
-                run(f"{stem}.cohomology3.json", "cohomology", str(out / f"{stem}.algebra.json"),
-                    "--degree", "3")
+            fixture_reports(fx, tag, field_args)
+        if fixtures.FIXTURES[fx]["dim"] <= 3:
+            for tag, field_args in SMALL_FIXTURE_FIELDS.items():
+                fixture_reports(fx, tag, field_args)
     if selftest:
         for prime in ("2", "101"):
             for extra in ([], ["--max-dim", "2"]):
