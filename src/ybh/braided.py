@@ -13,7 +13,9 @@ makes failures reproducible and debuggable.
 
 Each axiom is written once, as rows of a term table (AXIOM_TERMS), and each
 defect is a read of it by the one evaluator, sum_terms; the differentials
-of the cochain complex are tables in the same notation.  The mirror
+of the cochain complex are tables in the same notation.  Each structure
+class declares its tokens once (tokens()); read_tables, the one reader of
+structure tables, keeps the lifts of slot-free words on the structure.  The mirror
 involution conjugates every structure map by the tensor-factor reversal and
 exchanges the YI and IY axioms; on table rows it is mirror_terms, which
 generates the IY rows from the YI rows (the tests keep mirror_map as its
@@ -84,7 +86,7 @@ def sum_terms(rows, maps: dict, lifted: dict | None = None) -> TensorMap:
     lifted the lifts are built per term; lifted is a {word: lift} dict the
     call reads first and fills on a miss, so calls sharing it lift each
     distinct word once.  A token is a one-token word, so lifted may be maps
-    itself."""
+    itself.  Structure reads go through read_tables."""
     if lifted is not None:
         for word in {word for _, lifts in rows for word in lifts}.difference(lifted):
             lifted[word] = _lift(word, maps)
@@ -99,6 +101,22 @@ def sum_terms(rows, maps: dict, lifted: dict | None = None) -> TensorMap:
         else:
             total = total + term if sign > 0 else total - term
     return total
+
+
+def read_tables(x, slots: dict, *tables) -> list:
+    """The tables read (sum_terms) at x's tokens with the slots ({slot token:
+    map}) filled.  x is a structure, whose slot-free words are lifted once
+    and kept on it (write-once: its maps are immutable), or a {token: map}
+    dict, whose words are lifted once per call.  Words with a slot token are
+    lifted per call and never kept."""
+    kept = dict(x) if isinstance(x, dict) else vars(x).get("_lifted")
+    if kept is None:
+        kept = x._lifted = dict(x.tokens())
+    for word in {word for rows in tables for _, lifts in rows for word in lifts}.difference(kept):
+        if slots.keys().isdisjoint(word):
+            kept[word] = _lift(word, kept)
+    lifted = {**kept, **slots}
+    return [sum_terms(rows, lifted, lifted) for rows in tables]
 
 
 _SWAP_ALPHA = str.maketrans("aA", "Aa")
@@ -178,19 +196,22 @@ class AssociativeAlgebra:
         self.unit = unit
         self.labels = labels or [f"e{i}" for i in range(dim)]
         self._assoc: CheckResult | None = None
-        self._unit: tuple | None = None
+        self._unit: list | None = None
+
+    def tokens(self) -> dict:
+        """Its maps by strand-word token: 1, m and, with a unit, u."""
+        maps = {"1": identity_map(self.field, self.dim, 1), "m": self.mu, "u": self.unit}
+        return {token: f for token, f in maps.items() if f is not None}
 
     def check_associative(self) -> CheckResult:
         if self._assoc is None:
             self._assoc = check_associative(self.mu)
         return self._assoc
 
-    def unit_defects(self) -> tuple:
+    def unit_defects(self) -> list:
         """The unit_left and unit_right defects, computed once."""
         if self._unit is None:
-            words = {"m": self.mu, "u": self.unit}
-            self._unit = tuple(sum_terms(AXIOM_TERMS[name], words, words)
-                               for name in ("unit_left", "unit_right"))
+            self._unit = read_tables(self, {}, AXIOM_TERMS["unit_left"], AXIOM_TERMS["unit_right"])
         return self._unit
 
     def check_unit(self) -> CheckResult:
@@ -221,6 +242,9 @@ class YangBaxterOperator:
         self.r = r
         self._inverse: TensorMap | None = None
         self._yb: CheckResult | None = None
+
+    def tokens(self) -> dict:
+        return {"1": identity_map(self.field, self.dim, 1), "R": self.r}
 
     def check_yb(self) -> CheckResult:
         if self._yb is None:
@@ -277,6 +301,9 @@ class BraidedAlgebra:
     @property
     def labels(self):
         return self.algebra.labels
+
+    def tokens(self) -> dict:
+        return {**self.algebra.tokens(), "R": self.r}
 
     def check_yi(self) -> CheckResult:
         if self._yi is None:

@@ -77,14 +77,20 @@ def _guard_document(doc, args, bound: int, what: str) -> None:
         _guard(dim, _max_dim(args), bound, what)
 
 
-def _emit(report: dict, args) -> None:
-    report.setdefault("timing", None)
-    text = canonical_json(report)
-    if getattr(args, "out", None):
+_REPORT = {"schema": "ybh/report/1", "timing": None}  # every report's base
+
+
+def _emit(doc: dict, args) -> None:
+    """The canonical JSON of a report or document, to --out or to stdout."""
+    text = canonical_json(doc)
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out}: {exc.strerror}")
 
 
 def _check_entries(obj) -> list:
@@ -103,7 +109,7 @@ def cmd_check(args) -> int:
     _guard_document(doc, args, MAX_DIM_CHECK, "check command")
     obj = algebra_from_json(doc, validate=False)
     entries = _check_entries(obj)
-    report = {"schema": "ybh/report/1", "command": "check",
+    report = {**_REPORT, "command": "check",
               "input_digest": digest(doc),
               "kind": "hopf" if isinstance(obj, HopfAlgebra) else "braided",
               "dim": obj.dim, "checks": entries,
@@ -130,7 +136,7 @@ def cmd_cohomology(args) -> int:
     d2m = differential_matrix(obj, 2)
     rank1, rank2 = d1.rank(), d2m.rank()
     dim_c2 = C2.size(obj.dim)
-    report = {"schema": "ybh/report/1", "command": "cohomology",
+    report = {**_REPORT, "command": "cohomology",
               "input_digest": digest(doc), "degree": args.degree,
               "dim": obj.dim,
               "cochain_dims": {"c1": C1.size(obj.dim), "c2": dim_c2,
@@ -163,7 +169,7 @@ def cmd_deform(args) -> int:
     if args.series:
         series = series_from_json(doc)
         result = verify_deformation(series)
-        report = {"schema": "ybh/report/1", "command": "deform",
+        report = {**_REPORT, "command": "deform",
                   "mode": "verify", "input_digest": digest(doc),
                   "order": series.order, "ok": result.ok}
         if not result.ok:
@@ -179,7 +185,7 @@ def cmd_deform(args) -> int:
         raise InputError("cocycle document's algebra must be a braided algebra document")
     cocycle = cochain2_from_json(doc, base.field, base.dim)
     result = extend_to_quadratic(base, cocycle)
-    report = {"schema": "ybh/report/1", "command": "deform", "mode": "extend",
+    report = {**_REPORT, "command": "deform", "mode": "extend",
               "input_digest": digest(doc), "ok": result.success,
               "obstruction_is_cocycle": obstruction_is_cocycle(base, cocycle)}
     if result.success:
@@ -254,17 +260,13 @@ def cmd_construct(args) -> int:
         spec = load_json(args.input)
         obj = _construct_from_spec(spec, field, _max_dim(args))
         provenance = {"construction": spec.get("construction")}
-    doc = algebra_to_json(obj, provenance=provenance)
-    text = canonical_json(doc)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(algebra_to_json(obj, provenance=provenance), args)
     return _EXIT_PASS
 
 
 def cmd_selftest(args) -> int:
+    if args.trials < 0:
+        raise InputError(f"--trials must be >= 0, got {args.trials}")
     field = field_for(FieldSpec("prime", args.prime))
     rational = field_for(FieldSpec("rational"))
     rng = SplitMix64(args.seed)
@@ -308,7 +310,7 @@ def cmd_selftest(args) -> int:
                    detail=f"{len(cocycles)} kernel cocycles")
 
     all_ok = all(c["ok"] for c in checks)
-    report = {"schema": "ybh/report/1", "command": "selftest",
+    report = {**_REPORT, "command": "selftest",
               "seed": args.seed, "prime": args.prime, "trials": args.trials,
               "max_dim": max_dim, "checks": checks, "all_ok": all_ok}
     _emit(report, args)

@@ -16,9 +16,9 @@ read applied to the basis cochains, column by column.  D2_TERMS is not
 written out: it is the linearization of the four axiom rows at (mu, R)
 (linearize), whose independent oracle is the hbar coefficient of the axiom
 defects of (mu + hbar psi, R + hbar phi) over k[hbar]/(hbar^2)
-(delta2_oracle).  delta1 and delta2 share one dict of lifted words per
-call, seeded with the structure lifts cached on the algebra; delta3 builds
-its lifts per term.
+(delta2_oracle).  delta1 and delta2 are reads by braided.read_tables, which
+keeps the lifts of the structure words on the algebra and lifts the slot
+words per call; delta3 builds its lifts per term.
 
 Degree 3 -> 4 writes into eight private summands of C^4, one per coherence
 loop.  Each component linearizes a rewrite-loop identity: a cycle of axiom
@@ -36,12 +36,11 @@ from bisect import bisect_right
 from itertools import accumulate, product
 from dataclasses import dataclass
 
-from .braided import AXIOM_TERMS, BraidedAlgebra, mirror_terms, sum_terms
+from .braided import AXIOM_TERMS, BraidedAlgebra, mirror_terms, read_tables, sum_terms
 from .errors import InputError, ResourceLimitError
 from .linalg import ExactMatrix
 from .scalars import TruncatedRing
-from .tensor import (TensorMap, identity_map, same_ring, truncated_from_parts,
-                     truncated_part)
+from .tensor import TensorMap, same_ring, truncated_from_parts, truncated_part
 
 MAX_DIM_DEGREE2 = 4
 MAX_DIM_DEGREE3 = 3
@@ -258,32 +257,6 @@ D2_TERMS = {name: linearize(AXIOM_TERMS[axiom], {"R": "p", "m": "s"})
             for name, axiom in C3_AXIOMS.items()}
 
 
-def _lifts(x, key: str) -> tuple:
-    """(1, m, m ox 1, 1 ox m) for the structure map m = x.mu (key "mu") or
-    x.r (key "r"): the lifts every degree-1 and degree-2 table reads.  An
-    algebra caches them (write-once; its maps are immutable); a raw map is
-    m itself and is lifted on each call."""
-    raw = isinstance(x, TensorMap)
-    cache = {} if raw else vars(x).setdefault("_op_cache", {})
-    if key not in cache:
-        m = x if raw else getattr(x, key)
-        one = identity_map(m.field, m.dim, 1)
-        cache[key] = (one, m, m.tensor(one), one.tensor(m))
-    return cache[key]
-
-
-def _read_tables(x, keys, slots: dict, *tables) -> list:
-    """Tables read at the structure maps of x (an algebra, or the one raw
-    structure map of keys) with the slots filled.  The reads share one
-    {word: lift} dict, seeded with the lifts of _lifts and the slots."""
-    words = {}
-    for key in keys:
-        t = "m" if key == "mu" else "R"
-        words.update(zip(("1", t, t + "1", "1" + t), _lifts(x, key)))
-    words.update(slots)
-    return [sum_terms(rows, words, words) for rows in tables]
-
-
 def _expect(t: TensorMap, n: int, k: int, what: str):
     if (t.in_arity, t.out_arity) != (n, k):
         raise InputError(f"{what} must be a ({n}->{k}) map, "
@@ -293,41 +266,44 @@ def _expect(t: TensorMap, n: int, k: int, what: str):
 # ---------------------------------------------------------------- degree 0, 1, 2
 
 def hochschild_differential(algebra, degree: int, cochain: TensorMap) -> TensorMap:
-    """delta^n_H for n in 0..3.  Degree 2 is the linearized associativity
-    defect (positive left terms), degree 3 the standard pentagon (the
-    pentagon rows of D3_TERMS); the two conventions still compose to zero."""
+    """delta^n_H for n in 0..3 of an algebra or a raw mu.  Degree 2 is the
+    linearized associativity defect (positive left terms), degree 3 the standard
+    pentagon (the pentagon rows of D3_TERMS); the two conventions still compose to zero."""
     tables = {0: (HOCHSCHILD_D0_TERMS, "c"), 1: (D1_TERMS["psi"], "f"),
               2: (D2_TERMS["gamma"], "s"), 3: (D3_TERMS["pentagon"], "g")}
     if degree not in tables:
         raise InputError(f"Hochschild differential defined for degrees 0..3, got {degree}")
     rows, slot = tables[degree]
     _expect(cochain, degree, 1, f"degree-{degree} cochain")
-    return _read_tables(algebra, ["mu"], {slot: cochain}, rows)[0]
+    x = {"m": algebra} if isinstance(algebra, TensorMap) else algebra
+    return read_tables(x, {slot: cochain}, rows)[0]
 
 
 def yang_baxter_differential(operator, degree: int, cochain: TensorMap) -> TensorMap:
+    """delta^n_YB for n in 1..2 of a YB operator or braided algebra, or a raw R."""
     tables = {1: (D1_TERMS["phi"], "f"), 2: (D2_TERMS["beta"], "p")}
     if degree not in tables:
         raise InputError(f"Yang-Baxter differential defined for degrees 1..2, got {degree}")
     rows, slot = tables[degree]
     _expect(cochain, degree, degree, f"degree-{degree} cochain")
-    return _read_tables(operator, ["r"], {slot: cochain}, rows)[0]
+    x = {"R": operator} if isinstance(operator, TensorMap) else operator
+    return read_tables(x, {slot: cochain}, rows)[0]
 
 
 def mixed_differential_d2(b: BraidedAlgebra, c: YBH2Cochain):
     """Both mixed components of delta^2, (YI, IY): the linearizations of the
     YI and IY axioms at (mu, R) in the direction (phi, psi)."""
-    return tuple(_read_tables(b, ("mu", "r"), {"p": c.phi, "s": c.psi},
-                              D2_TERMS["alpha_yi"], D2_TERMS["alpha_iy"]))
+    return tuple(read_tables(b, {"p": c.phi, "s": c.psi},
+                             D2_TERMS["alpha_yi"], D2_TERMS["alpha_iy"]))
 
 
 def axiom_defect_coefficients(mu_t: TensorMap, r_t: TensorMap, j: int) -> tuple:
     """The hbar^j coefficients of the four axiom defects of (mu_t, R_t) over
     a truncated ring, one per C^3 summand: ring arithmetic on the axiom
     rows, the independent route to their order-j parts (linearize)."""
-    maps = {"m": mu_t, "R": r_t}
-    return tuple(truncated_part(sum_terms(AXIOM_TERMS[axiom], maps, {}), j)
-                 for axiom in C3_AXIOMS.values())
+    defects = read_tables({"m": mu_t, "R": r_t}, {},
+                          *(AXIOM_TERMS[axiom] for axiom in C3_AXIOMS.values()))
+    return tuple(truncated_part(defect, j) for defect in defects)
 
 
 def delta2_oracle(b: BraidedAlgebra, c: YBH2Cochain) -> YBH3Cochain:
@@ -340,12 +316,11 @@ def delta2_oracle(b: BraidedAlgebra, c: YBH2Cochain) -> YBH3Cochain:
 
 def delta1(b: BraidedAlgebra, f: TensorMap) -> YBH2Cochain:
     _expect(f, 1, 1, "degree-1 cochain")
-    return YBH2Cochain(*_read_tables(b, ("mu", "r"), {"f": f}, *D1_TERMS.values()))
+    return YBH2Cochain(*read_tables(b, {"f": f}, *D1_TERMS.values()))
 
 
 def delta2(b: BraidedAlgebra, c: YBH2Cochain) -> YBH3Cochain:
-    return YBH3Cochain(*_read_tables(b, ("mu", "r"), {"p": c.phi, "s": c.psi},
-                                     *D2_TERMS.values()))
+    return YBH3Cochain(*read_tables(b, {"p": c.phi, "s": c.psi}, *D2_TERMS.values()))
 
 
 # ---------------------------------------------------------------- degree 3
@@ -413,6 +388,13 @@ D3_TERMS = {name: mirror_terms(_D3_LOOPS[D3_MIRROR_PARTNERS[name]])
             if name in D3_MIRROR_PARTNERS else _D3_LOOPS[name] for name in C4_SUMMANDS}
 
 
+# The delta3 reads lift per term, and verify_deformation's axiom defects with
+# one fresh dict each, not through read_tables: shared lifts shorten the h3
+# and extend passes of perfbench (4.6x on an h3 pass), and both sit at the
+# traced-run cliff of ROADMAP item 1: `perfbench/run.py --trace 1 --seed 7`
+# once ran h3 9 untraced passes then 3 traced, extend 10 then 2 (2 vCPU); a
+# pass about 10% shorter leaves the traced half empty and the worker exits 1.
+
 def yb_differential_d3(b, beta: TensorMap) -> TensorMap:
     _expect(beta, 3, 3, "beta")
     r = b if isinstance(b, TensorMap) else b.r
@@ -478,10 +460,8 @@ def coboundary_basis(b: BraidedAlgebra, max_dim: int | None = None) -> list:
     return [YBH2Cochain.unflatten(d1.column(c), b.field, b.dim) for c in pivots]
 
 
-def cohomology_dimension(b: BraidedAlgebra, degree: int = 2,
-                         max_dim: int | None = None) -> int:
-    if degree != 2:
-        raise InputError("cohomology_dimension computes degree 2; use h3_dimension")
+def cohomology_dimension(b: BraidedAlgebra, max_dim: int | None = None) -> int:
+    """dim H^2 = dim ker(delta^2) - rank(delta^1); h3_dimension is degree 3."""
     _guard(b.dim, max_dim, MAX_DIM_DEGREE2, "degree-2 cohomology")
     d1 = differential_matrix(b, 1)
     d2 = differential_matrix(b, 2)

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from functools import cache
 
 from .braided import (AXIOM_TERMS, BraidedAlgebra, _witness, assoc_defect, iy_defect,
-                      yb_defect, yi_defect)
-from .cohomology import (C3_AXIOMS, YBH2Cochain, YBH3Cochain, _read_tables,
-                         axiom_defect_coefficients, delta1, delta2, delta3,
-                         differential_matrix, linearize)
+                      read_tables, yb_defect, yi_defect)
+from .cohomology import (C3_AXIOMS, YBH2Cochain, YBH3Cochain, axiom_defect_coefficients,
+                         delta1, delta2, delta3, differential_matrix, linearize)
 from .errors import InputError, InternalCheckError
 from .linalg import SolveCertificate
 from .scalars import TruncatedRing
@@ -159,8 +158,7 @@ def obstruction_bundle(s: DeformationSeries, r: int) -> ObstructionBundle:
         raise InputError(f"series of order {s.order} has no degree-{r} obstruction")
     slots = series_slots(r - 1)
     terms = {**dict(zip(slots["R"], s.phi_terms)), **dict(zip(slots["m"], s.psi_terms))}
-    return ObstructionBundle(*_read_tables(s.base, ("mu", "r"), terms,
-                                           *bundle_terms(r).values()))
+    return ObstructionBundle(*read_tables(s.base, terms, *bundle_terms(r).values()))
 
 
 def obstruction_bundle_oracle(s: DeformationSeries, r: int) -> ObstructionBundle:

@@ -11,7 +11,9 @@ conditions, the normalization conditions and the antipode hexagons are not
 written out: they are the first-order parts (cohomology.linearize) of
 axiom rows when (mu, Delta, S) becomes (mu + hbar xi, Delta + hbar zeta,
 S + hbar S') with eta and epsilon fixed, as in Gerstenhaber-Schack
-bialgebra cohomology.
+bialgebra cohomology.  Every table is read by braided.read_tables at the
+Hopf algebra's tokens (HopfAlgebra.tokens), so a Hopf algebra needs only
+its structure constants.
 
 Psi is computed by deforming (mu, Delta, S) over k[hbar]/(hbar^2), rebuilding
 the adjoint operator there, and reading off the hbar coefficient.  That is
@@ -26,9 +28,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .braided import (AXIOM_TERMS, AssociativeAlgebra, BraidedAlgebra, YangBaxterOperator,
-                      _check, _lift, assert_braided, braided_algebra, sum_terms)
-from .cohomology import (Cochain, Summands, YBH2Cochain, delta2 as ybh_delta2,
-                         hochschild_differential, linearize)
+                      _check, assert_braided, braided_algebra, read_tables)
+from .cohomology import D1_TERMS, Cochain, Summands, YBH2Cochain, delta2 as ybh_delta2, linearize
 from .constructions import FiniteGroup, dual_numbers
 from .errors import InputError, InternalCheckError, ValidationError
 from .scalars import TruncatedRing
@@ -84,13 +85,6 @@ ANTIPODE_CORRECTION_TERMS = ((-1, ("m", "Sx", "11S", "D1", "D")),
 COBOUNDARY_ZETA_TERMS = ((+1, ("f1", "D")), (+1, ("1f", "D")), (-1, ("D", "f")))
 
 
-def _words(h, **slots) -> dict:
-    """h's structure maps by token, with the slots filled: the maps of a
-    sum_terms read and its {word: lift} dict."""
-    return {"m": h.mu, "u": h.eta, "D": h.delta, "e": h.epsilon, "S": h.antipode,
-            "T": h.tau, **slots}
-
-
 class HopfAlgebra:
     """A Hopf algebra whose (mu, eta) is kept as an AssociativeAlgebra, so the
     associativity and unit verdicts are computed once and shared with every
@@ -111,7 +105,6 @@ class HopfAlgebra:
         self._checks: list | None = None
         self._flags: dict | None = None
         self._braided: BraidedAlgebra | None = None
-        self.tau = transposition(field, dim)
 
     @property
     def mu(self) -> TensorMap:
@@ -125,6 +118,10 @@ class HopfAlgebra:
     def labels(self) -> list:
         return self.algebra.labels
 
+    def tokens(self) -> dict:
+        return {**self.algebra.tokens(), "D": self.delta, "e": self.epsilon,
+                "S": self.antipode, "T": transposition(self.field, self.dim)}
+
     def check_hopf(self) -> list:
         """One check per row of HOPF_AXIOM_TERMS, in its order, computed
         once; the three algebra verdicts are the AssociativeAlgebra's."""
@@ -133,10 +130,9 @@ class HopfAlgebra:
             known = {"associativity": self.algebra.check_associative(),
                      "unit-left": _check("unit-left", unit_left),
                      "unit-right": _check("unit-right", unit_right)}
-            words = _words(self)
-            self._checks = [known[name] if name in known
-                            else _check(name, sum_terms(rows, words, words))
-                            for name, rows in HOPF_AXIOM_TERMS.items()]
+            rest = {name: rows for name, rows in HOPF_AXIOM_TERMS.items() if name not in known}
+            known.update(zip(rest, map(_check, rest, read_tables(self, {}, *rest.values()))))
+            self._checks = [known[name] for name in HOPF_AXIOM_TERMS]
         return self._checks
 
     def require(self) -> "HopfAlgebra":
@@ -150,9 +146,8 @@ class HopfAlgebra:
     @property
     def flags(self) -> dict:
         if self._flags is None:
-            words = _words(self)
-            self._flags = {name: sum_terms(rows, words, words).is_zero()
-                           for name, rows in HOPF_FLAG_TERMS.items()}
+            defects = read_tables(self, {}, *HOPF_FLAG_TERMS.values())
+            self._flags = {name: t.is_zero() for name, t in zip(HOPF_FLAG_TERMS, defects)}
         return self._flags
 
     def __repr__(self):
@@ -274,7 +269,7 @@ def find_left_integral(h: HopfAlgebra) -> LeftIntegral:
     f, d = h.field, h.dim
     space = Summands([("lam", 1, 0)])
     basis = space.matrix(
-        f, d, lambda lam: [sum_terms(LEFT_INTEGRAL_TERMS, _words(h, L=lam))]).kernel_basis()
+        f, d, lambda lam: read_tables(h, {"L": lam}, LEFT_INTEGRAL_TERMS)).kernel_basis()
     if not basis:
         raise ValidationError("no nonzero left integral functional exists")
     # each scaled to lead with 1
@@ -348,18 +343,12 @@ def hopf_coboundary(h: HopfAlgebra, f: TensorMap) -> HopfTwoCochain:
     """
     if (f.in_arity, f.out_arity) != (1, 1) or f.dim != h.dim:
         raise InputError("coboundary argument must be a (1->1) map")
-    words = _words(h, f=f)
-    return HopfTwoCochain(xi=-hochschild_differential(h.mu, 1, f),
-                          zeta=sum_terms(COBOUNDARY_ZETA_TERMS, words, words))
-
-
-def _first_order_defects(h: HopfAlgebra, c: HopfTwoCochain, tables, lifted=None) -> list:
-    words = {**(lifted or _words(h)), "x": c.xi, "z": c.zeta}
-    return [sum_terms(rows, words, words) for rows in tables]
+    hochschild, zeta = read_tables(h, {"f": f}, D1_TERMS["psi"], COBOUNDARY_ZETA_TERMS)
+    return HopfTwoCochain(xi=-hochschild, zeta=zeta)
 
 
 def check_hopf_2cocycle(h: HopfAlgebra, c: HopfTwoCochain) -> list:
-    defects = _first_order_defects(h, c, HOPF_COCYCLE_TERMS.values())
+    defects = read_tables(h, {"x": c.xi, "z": c.zeta}, *HOPF_COCYCLE_TERMS.values())
     return [_check(name, defect) for name, defect in zip(HOPF_COCYCLE_TERMS, defects)]
 
 
@@ -369,7 +358,8 @@ def is_hopf_2cocycle(h: HopfAlgebra, c: HopfTwoCochain) -> bool:
 
 def check_normalized(h: HopfAlgebra, c: HopfTwoCochain) -> bool:
     """xi(1 ox x) = xi(x ox 1) = 0 and (1 ox eps) zeta = (eps ox 1) zeta = 0."""
-    return all(t.is_zero() for t in _first_order_defects(h, c, NORMALIZATION_TERMS))
+    return all(t.is_zero() for t in read_tables(h, {"x": c.xi, "z": c.zeta},
+                                                *NORMALIZATION_TERMS))
 
 
 def antipode_correction(h: HopfAlgebra, c: HopfTwoCochain) -> TensorMap:
@@ -381,9 +371,9 @@ def antipode_correction(h: HopfAlgebra, c: HopfTwoCochain) -> TensorMap:
     Both first-order antipode conditions (the hexagons, HEXAGON_TERMS) are
     verified exactly; failure means c was not a normalized 2-cocycle.
     """
-    words = _words(h, x=c.xi, z=c.zeta)
-    s1 = words["y"] = sum_terms(ANTIPODE_CORRECTION_TERMS, words, words)
-    if not all(sum_terms(rows, words, words).is_zero() for rows in HEXAGON_TERMS):
+    slots = {"x": c.xi, "z": c.zeta}
+    s1 = slots["y"] = read_tables(h, slots, ANTIPODE_CORRECTION_TERMS)[0]
+    if not all(t.is_zero() for t in read_tables(h, slots, *HEXAGON_TERMS)):
         raise ValidationError("antipode correction fails the hexagon identities; "
                               "the pair is not a normalized 2-cocycle")
     return s1
@@ -429,10 +419,6 @@ def normalized_cocycle_basis(h: HopfAlgebra) -> list:
     """
     h.require()
     tables = (*HOPF_COCYCLE_TERMS.values(), *NORMALIZATION_TERMS)
-    # The slot-free words are lifted once; each column's read copies them.
-    lifted = _words(h)
-    words = {word for rows in tables for _, lifts in rows for word in lifts}
-    lifted.update((word, _lift(word, lifted)) for word in words if {"x", "z"}.isdisjoint(word))
-    m = HopfTwoCochain.SUMMANDS.matrix(h.field, h.dim, lambda xi, zeta: _first_order_defects(
-        h, HopfTwoCochain(xi, zeta), tables, lifted))
+    m = HopfTwoCochain.SUMMANDS.matrix(
+        h.field, h.dim, lambda xi, zeta: read_tables(h, {"x": xi, "z": zeta}, *tables))
     return [HopfTwoCochain.unflatten(v, h.field, h.dim) for v in m.kernel_basis()]

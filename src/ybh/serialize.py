@@ -223,11 +223,16 @@ def series_from_json(doc: dict):
 
 
 def load_json(path: str) -> dict:
+    """The JSON document in a file; one that cannot be read is an InputError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}")
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise InputError(f"cannot parse {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"parse error in {path} at line {exc.lineno} "
                          f"column {exc.colno}: {exc.msg}")

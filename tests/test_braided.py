@@ -1,3 +1,7 @@
+import ast
+import re
+from pathlib import Path
+
 import pytest
 
 from ybh.braided import (BraidedHomomorphism, braided_algebra,
@@ -172,3 +176,30 @@ def test_braided_algebra_dimension_mismatch():
     with pytest.raises(InputError):
         braided_algebra(QQ, 2, TensorMap.zero(QQ, 2, 2, 1),
                         transposition(QQ, 3), require=False)
+
+
+def _sum_terms_callers(tree, where="<module>"):
+    """The enclosing function of every sum_terms(...) call in tree."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _sum_terms_callers(node, node.name)
+            continue
+        if isinstance(node, ast.Call) and \
+                getattr(node.func, "id", getattr(node.func, "attr", None)) == "sum_terms":
+            yield where
+        yield from _sum_terms_callers(node, where)
+
+
+def test_structure_reads_have_one_reader():
+    # lifting words is braided.py's alone, and outside it only the two
+    # delta3 reads, which keep per-term lifts, call sum_terms directly
+    lift_users, callers = set(), set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "ybh").glob("*.py")):
+        if path.name == "braided.py":
+            continue
+        text = path.read_text()
+        if re.search(r"\b_lift\b", text):
+            lift_users.add(path.name)
+        callers.update(f"{path.stem}.{fn}" for fn in _sum_terms_callers(ast.parse(text)))
+    assert lift_users == set()
+    assert callers == {"cohomology.yb_differential_d3", "cohomology.delta3_components"}

@@ -8,8 +8,8 @@ import pytest
 
 import ybh.cohomology
 from ybh import hopf
-from ybh.braided import (AXIOM_TERMS, assoc_defect, braided_algebra, iy_defect, yb_defect,
-                         yi_defect)
+from ybh.braided import (AXIOM_TERMS, assoc_defect, braided_algebra, iy_defect, read_tables,
+                         yb_defect, yi_defect)
 from ybh.cli import main
 from ybh.cohomology import (C2, C3, C4, D1_TERMS, D2_TERMS, D3_TERMS, HOCHSCHILD_D0_TERMS,
                             ComplexSlice, YBH2Cochain, YBH3Cochain,
@@ -22,7 +22,8 @@ from ybh.cohomology import (C2, C3, C4, D1_TERMS, D2_TERMS, D3_TERMS, HOCHSCHILD
                             mixed_differential_d2, shared_target_matrix,
                             unflatten2, unflatten3,
                             yang_baxter_differential, yb_differential_d3)
-from ybh.deformation import bundle_terms, series_slots
+from ybh.deformation import (bundle_terms, obstruction_bundle, series_from_cocycle,
+                             series_slots)
 from ybh.braided import braided_multiplication
 from ybh.errors import InputError, ResourceLimitError
 from ybh.fixtures import build_fixture
@@ -151,6 +152,13 @@ def test_every_term_table_row_is_well_typed():
     def arity(word):
         return tuple(sum(token_arity[t][k] for t in word) for k in (0, 1))
 
+    # the structure tokens, those the structure classes declare, and the
+    # slot tokens are disjoint and cover every token a table word may use
+    structure = set(build_fixture("z2_adjoint", QQ).tokens()) | set(
+        hopf.dual_numbers_hopf(GF(2)).tokens())
+    slot_tokens = SLOT_TOKENS | set(slot_orders)
+    assert structure.isdisjoint(slot_tokens) and structure | slot_tokens == set(token_arity)
+
     hopf_axioms = {"associativity": (3, 1), "unit-left": (1, 1), "unit-right": (1, 1),
                    "coassociativity": (1, 3), "counit-left": (1, 1), "counit-right": (1, 1),
                    "bialgebra": (2, 2), "counit-multiplicative": (2, 0),
@@ -195,7 +203,7 @@ def test_every_term_table_row_is_well_typed():
                     assert arity(left)[0] == arity(right)[1], \
                         f"{where}: word {left!r} does not chain onto {right!r}"
                 assert (arity(lifts[-1])[0], arity(lifts[0])[1]) == targets[name], where
-                slots = [t for word in lifts for t in word if t in SLOT_TOKENS | set(slot_orders)]
+                slots = [t for word in lifts for t in word if t in slot_tokens]
                 if slot_count is None:
                     orders = [slot_orders[t] for t in slots]
                     r = bundle_orders[table_name]
@@ -208,6 +216,49 @@ def test_every_term_table_row_is_well_typed():
     # the product-crossing loop and its mirror are the same rows up to sign
     assert Counter(D3_TERMS["prod_iy"]) == Counter((-sign, lifts)
                                                    for sign, lifts in D3_TERMS["prod_yi"])
+
+
+@pytest.mark.parametrize("name,field", [("z2_adjoint", QQ), ("dual_trivial", GF(3)),
+                                        ("heap_z2", GF(101))])
+def test_structure_read_equals_its_token_dict_read(name, field):
+    # D1, D2 and an order-3 bundle read at b and at a copy of b's tokens
+    # agree; the dict argument is not mutated
+    b = build_fixture(name, field)
+    rng = SplitMix64(77)
+    d = b.dim
+    series = {token: random_map(field, d, 2, 2 if structure == "R" else 1, rng, span=5)
+              for structure, tokens in series_slots(2).items() for token in tokens}
+    reads = [({"f": random_map(field, d, 1, 1, rng, span=5)}, D1_TERMS.values()),
+             ({"p": random_map(field, d, 2, 2, rng, span=5),
+               "s": random_map(field, d, 2, 1, rng, span=5)}, D2_TERMS.values()),
+             (series, bundle_terms(3).values())]
+    nonzero = 0
+    for slots, tables in reads:
+        tokens = dict(b.tokens())
+        before = dict(tokens)
+        reads_b = read_tables(b, slots, *tables)
+        assert reads_b == read_tables(tokens, slots, *tables)
+        assert tokens.keys() == before.keys() and all(tokens[t] is before[t] for t in before)
+        nonzero += sum(not t.is_zero() for t in reads_b)
+    assert nonzero >= 4
+
+
+def test_structure_caches_keep_only_slot_free_words():
+    # after D1, D2, a bundle read and the Hopf reads, every word a structure
+    # keeps is made of its own tokens
+    b = build_fixture("z2_adjoint", GF(2))
+    c = cocycle_basis(b)[0]
+    delta1(b, identity_map(b.field, b.dim, 1))
+    delta2(b, c)
+    obstruction_bundle(series_from_cocycle(b, c), 2)
+    h = hopf.dual_numbers_hopf(GF(2))
+    h.check_hopf()
+    assert h.flags["commutative"]
+    hopf.normalized_cocycle_basis(h)
+    kept = {x: vars(x)["_lifted"] for x in (b, b.algebra, h, h.algebra) if "_lifted" in vars(x)}
+    assert {"m1", "1m", "R1", "1R"} <= set(kept[b]) and {"mm", "1T1", "DD"} <= set(kept[h])
+    for x, words in kept.items():
+        assert all(set(word) <= set(x.tokens()) for word in words), (x, sorted(words))
 
 
 def test_linearize_enumerates_occurrences_in_reading_order():
@@ -425,21 +476,21 @@ def test_z2_adjoint_coboundary_rank_is_four():
 
 def test_cohomology_dimension_and_guard():
     b = build_fixture("z2_adjoint", QQ)
-    h2 = cohomology_dimension(b, 2)
+    h2 = cohomology_dimension(b)
     d1 = differential_matrix(b, 1)
     d2 = differential_matrix(b, 2)
     assert h2 == (24 - d2.rank()) - d1.rank()
     assert h2 >= 0
     s3 = build_fixture("s3_adjoint", GF(2))
     with pytest.raises(ResourceLimitError):
-        cohomology_dimension(s3, 2)
+        cohomology_dimension(s3)
     with pytest.raises(ResourceLimitError):
         h3_dimension(build_fixture("heap_z2", GF(2)))
 
 
 def test_dual_trivial_has_positive_h2_mod_2():
     b = build_fixture("dual_trivial", GF(2))
-    assert cohomology_dimension(b, 2) > 0
+    assert cohomology_dimension(b) > 0
 
 
 H3_PINNED = [("z2_adjoint", QQ, (0, 0)), ("z2_adjoint", GF(2), (26, 26)),

@@ -461,16 +461,15 @@ def test_first_order_tables_are_the_hbar_part_of_the_hopf_axioms(name):
                         for n, k in ((2, 1), (1, 2), (1, 1)))
         c = HopfTwoCochain(xi, zeta)
         names, reference = zip(*_reference_cocycle_defects(h, c))
-        assert hopf._first_order_defects(h, c, hopf.HOPF_COCYCLE_TERMS.values()) == \
+        slots = {"x": xi, "z": zeta, "y": s1}
+        assert braided.read_tables(h, slots, *hopf.HOPF_COCYCLE_TERMS.values()) == \
             [reference[0], -reference[1], reference[2]]
         assert tuple(r.name for r in check_hopf_2cocycle(h, c)) == names
-        words = hopf._words(h, x=xi, z=zeta, y=s1)
-        deformed = {t: truncated_from_parts(ring, [m, words.get(slot)]) for t, m, slot in (
-            ("m", h.mu, "x"), ("u", h.eta, None), ("D", h.delta, "z"),
-            ("e", h.epsilon, None), ("S", h.antipode, "y"), ("T", words["T"], None))}
+        deformed = {t: truncated_from_parts(ring, [m, slots.get(hopf._FIRST_ORDER.get(t))])
+                    for t, m in h.tokens().items()}
         for axiom, rows in tables:
-            defect = braided.sum_terms(hopf.HOPF_AXIOM_TERMS[axiom], deformed, {})
-            assert truncated_part(defect, 1) == braided.sum_terms(rows, words, {}), axiom
+            defect, = braided.read_tables(deformed, {}, hopf.HOPF_AXIOM_TERMS[axiom])
+            assert truncated_part(defect, 1) == braided.read_tables(h, slots, rows)[0], axiom
 
 
 @pytest.mark.parametrize("name,field", [(g, f) for g in ("kZ2", "kZ3") for f in ("Q", "F2", "F3")]
@@ -492,14 +491,25 @@ def test_normalized_cocycle_basis_is_the_reference_kernel(name, field):
     assert [c.flatten() for c in normalized_cocycle_basis(h)] == expected
 
 
+def test_second_normalized_cocycle_basis_lifts_only_slot_words(monkeypatch):
+    # the slot-free words of the seven tables are kept on h by the first call
+    h = group_hopf(_Z3, GF(5))
+    first = [c.flatten() for c in normalized_cocycle_basis(h)]
+    lifted, lift = [], braided._lift
+    monkeypatch.setattr(braided, "_lift",
+                        lambda word, maps: lifted.append(word) or lift(word, maps))
+    assert [c.flatten() for c in normalized_cocycle_basis(h)] == first
+    assert lifted and all({"x", "z"} & set(word) for word in lifted), sorted(set(lifted))
+
+
 def test_hexagons_reject_a_wrong_antipode_correction():
     # antipode_correction verifies the hexagon rows at its S'; both fail at 2 S'
     h = group_hopf(_Z3, GF(5))
     c = hopf_coboundary(h, _normalized_f_basis(h)[0])
     s1 = antipode_correction(h, c)
     assert not s1.is_zero()
-    wrong = hopf._words(h, x=c.xi, z=c.zeta, y=s1.scale(GF(5).add(1, 1)))
-    assert not any(braided.sum_terms(rows, wrong, {}).is_zero() for rows in hopf.HEXAGON_TERMS)
+    wrong = {"x": c.xi, "z": c.zeta, "y": s1.scale(GF(5).add(1, 1))}
+    assert not any(t.is_zero() for t in braided.read_tables(h, wrong, *hopf.HEXAGON_TERMS))
 
 
 def test_psi_map_rejects_non_cocycles():

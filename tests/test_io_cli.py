@@ -479,3 +479,56 @@ def test_cli_selftest_records_a_failed_chain_identity(tmp_path, monkeypatch):
     assert report["all_ok"] is False
     assert [c["name"] for c in report["checks"] if not c["ok"]] == \
         ["chain-d3d2/z2_adjoint", "chain-d3d2/dual_trivial"]
+
+
+def _boundary_inputs(tmp_path):
+    """A directory, a non-UTF-8 file, a file nested 100000 levels deep, a
+    valid algebra document, and a --out path under a missing directory."""
+    _, algebra = _write_fixture(tmp_path, "z2_adjoint", QQ)
+    directory = tmp_path / "adir"
+    directory.mkdir()
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"schema": "ybh/1", "basis": ["\xe9"]}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    return {"dir": directory, "latin1": latin1, "deep": deep, "algebra": algebra,
+            "missing": tmp_path / "missing" / "out.json"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{dir}"], ["cohomology", "{dir}"], ["deform", "--series", "{dir}"],
+    ["construct", "--input", "{dir}"],
+    ["check", "{latin1}"], ["deform", "--extend", "{latin1}"],
+    ["check", "{deep}"], ["cohomology", "{deep}"], ["deform", "--extend", "{deep}"],
+    ["construct", "--input", "{deep}"],
+    ["check", "{algebra}", "--out", "{dir}"], ["check", "{algebra}", "--out", "{missing}"],
+    ["construct", "--fixture", "z2_adjoint", "--out", "{dir}"],
+    ["construct", "--fixture", "z2_adjoint", "--out", "{missing}"],
+], ids=lambda argv: " ".join(argv))
+def test_cli_file_boundary_errors_exit_2(tmp_path, capsys, argv):
+    paths = _boundary_inputs(tmp_path)
+    assert main([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "Traceback" not in err
+
+
+def test_cli_file_boundary_error_in_a_fresh_process(tmp_path):
+    # the same boundary through `python -m ybh`, as a user runs it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    paths = _boundary_inputs(tmp_path)
+    for argv in (["check", str(paths["deep"])],
+                 ["check", str(paths["algebra"]), "--out", str(paths["dir"])]):
+        proc = subprocess.run([sys.executable, "-m", "ybh", *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("input error: ") and "Traceback" not in proc.stderr
+
+
+def test_cli_selftest_rejects_negative_trials(capsys):
+    assert main(["selftest", "--trials", "-5", "--max-dim", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "input error: --trials must be >= 0, got -5\n"

@@ -453,7 +453,7 @@ def test_invalid_chain_raises_the_left_to_right_error():
 
 
 def test_d2_assembly_builds_each_lift_row_index_once(monkeypatch):
-    from ybh.cohomology import _lifts, differential_matrix
+    from ybh.cohomology import differential_matrix
     builds = []
     row_index = TensorMap._row_index
 
@@ -465,7 +465,7 @@ def test_d2_assembly_builds_each_lift_row_index_once(monkeypatch):
     monkeypatch.setattr(TensorMap, "_row_index", counting)
     b = build_fixture("z2_adjoint", QQ)
     differential_matrix(b, 2)
-    counts = [sum(t is built for built in builds) for t in _lifts(b, "mu") + _lifts(b, "r")]
+    counts = [sum(t is built for built in builds) for t in b._lifted.values()]
     assert max(counts) == 1 and sum(counts) >= 2
 
 
