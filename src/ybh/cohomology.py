@@ -12,10 +12,11 @@ module is keyed to those shapes, never to a name.
 Each differential is one term table per target summand (D1_TERMS,
 D2_TERMS, D3_TERMS) in the row notation of braided.AXIOM_TERMS, read by the
 one evaluator there, sum_terms; its matrix (differential_matrix) is that
-read applied to the basis cochains, column by column.  D2_TERMS is not
-written out: it is the linearization of the four axiom rows at (mu, R)
-(linearize), whose independent oracle is the hbar coefficient of the axiom
-defects of (mu + hbar psi, R + hbar phi) over k[hbar]/(hbar^2)
+read applied to the basis cochains, column by column.  Complex reads ranks,
+H^n, bases and chain checks off those matrices behind one guard.  D2_TERMS
+is not written out: it is the linearization of the four axiom rows at
+(mu, R) (linearize), whose independent oracle is the hbar coefficient of
+the axiom defects of (mu + hbar psi, R + hbar phi) over k[hbar]/(hbar^2)
 (delta2_oracle).  delta1 and delta2 are reads by braided.read_tables, which
 keeps the lifts of the structure words on the algebra and lifts the slot
 words per call; delta3 builds its lifts per term.
@@ -441,33 +442,6 @@ def _guard(d: int, max_dim: int | None, default: int, what: str):
             f"{what} at dimension {d} exceeds the bound {bound}")
 
 
-# ---------------------------------------------------------------- bases and dimensions
-
-def cocycle_basis(b: BraidedAlgebra, max_dim: int | None = None) -> list:
-    """Basis of Z^2 = ker(delta^2) as YBH2Cochain objects."""
-    _guard(b.dim, max_dim, MAX_DIM_DEGREE2, "degree-2 cocycle basis")
-    d2 = differential_matrix(b, 2)
-    return [YBH2Cochain.unflatten(v, b.field, b.dim) for v in d2.kernel_basis()]
-
-
-def coboundary_basis(b: BraidedAlgebra, max_dim: int | None = None) -> list:
-    """Basis of B^2 = im(delta^1): the original columns of D1 sitting at its
-    RREF pivot positions (an independent spanning subset, deterministically
-    chosen)."""
-    _guard(b.dim, max_dim, MAX_DIM_DEGREE2, "degree-2 coboundary basis")
-    d1 = differential_matrix(b, 1)
-    _, pivots, _ = d1.rref()
-    return [YBH2Cochain.unflatten(d1.column(c), b.field, b.dim) for c in pivots]
-
-
-def cohomology_dimension(b: BraidedAlgebra, max_dim: int | None = None) -> int:
-    """dim H^2 = dim ker(delta^2) - rank(delta^1); h3_dimension is degree 3."""
-    _guard(b.dim, max_dim, MAX_DIM_DEGREE2, "degree-2 cohomology")
-    d1 = differential_matrix(b, 1)
-    d2 = differential_matrix(b, 2)
-    return (d2.cols - d2.rank()) - d1.rank()
-
-
 def shared_target_matrix(d3: ExactMatrix, d: int) -> ExactMatrix:
     """D3 with the (4,2) row blocks merged in YI/IY pairs: prod_yi rows add
     into assoc_yi, prod_iy rows into assoc_iy, and pentagon moves up.  The
@@ -482,23 +456,6 @@ def shared_target_matrix(d3: ExactMatrix, d: int) -> ExactMatrix:
         ((r if r < first_prod else r - shift, c, v) for r, c, v in d3.entries()))
 
 
-def h3_dimension(b: BraidedAlgebra, max_dim: int | None = None,
-                 shared_targets: bool = False) -> int:
-    """dim ker(delta^3) - rank(delta^2), from the cached private-target D3.
-
-    With shared_targets=True the four Hom(V^4, V^2) summands are merged in
-    YI/IY pairs (assoc_yi + prod_yi and assoc_iy + prod_iy share a target;
-    see shared_target_matrix), the smaller complex one gets by not keeping
-    loop-private targets; the kernel can only grow.  Both variants are
-    exposed because either reading of the degree-4 group is coherent.
-    """
-    _guard(b.dim, max_dim, MAX_DIM_DEGREE3, "degree-3 cohomology")
-    d3 = differential_matrix(b, 3)
-    if shared_targets:
-        d3 = shared_target_matrix(d3, b.dim)
-    return (d3.cols - d3.rank()) - differential_matrix(b, 2).rank()
-
-
 # ---------------------------------------------------------------- the braided-multiplication map
 
 def iota_r(b: BraidedAlgebra, c: YBH2Cochain) -> YBH2Cochain:
@@ -510,27 +467,70 @@ def iota_r(b: BraidedAlgebra, c: YBH2Cochain) -> YBH2Cochain:
     return YBH2Cochain(phi=c.phi, psi=psi_r)
 
 
-# ---------------------------------------------------------------- complex slice
+# ---------------------------------------------------------------- the complex
 
-@dataclass
-class ComplexSlice:
-    """D1, D2 as matrices, and whether the two chain identities hold, both
-    checked exactly at construction: D2 D1 = 0, and delta^3 D2 = 0 on every
-    column of D2 when check_d3 (d3d2_zero is None otherwise)."""
-    algebra: BraidedAlgebra
-    d1: ExactMatrix
-    d2: ExactMatrix
-    d2d1_zero: bool
-    d3d2_zero: bool | None
+class Complex:
+    """The complex of one braided algebra through degree 3 -> 4: D1 .. D3,
+    their ranks (each computed once), H^1 .. H^3, the Z^2 and B^2 bases and
+    the chain identities, every degree behind one dimension guard."""
 
-    @classmethod
-    def build(cls, b: BraidedAlgebra, check_d3: bool = True,
-              max_dim: int | None = None) -> "ComplexSlice":
-        _guard(b.dim, max_dim, MAX_DIM_DEGREE2, "complex slice")
-        d1 = differential_matrix(b, 1)
-        d2 = differential_matrix(b, 2)
-        d3d2 = None
-        if check_d3:
-            d3d2 = all(delta3(b, YBH3Cochain.unflatten(d2.column(idx), b.field, b.dim)).is_zero()
-                       for idx in range(d2.cols))
-        return cls(b, d1, d2, d2.matmul(d1).is_zero(), d3d2)
+    def __init__(self, b: BraidedAlgebra, max_dim: int | None = None):
+        self.b, self.max_dim = b, max_dim
+        self._ranks = {(0, False): 0}  # C^0 is left out: rank D_0 = 0
+
+    def matrix(self, n: int) -> ExactMatrix:
+        """differential_matrix(b, n), once d is within max_dim, or when that is
+        None within MAX_DIM_DEGREE3 at n = 3 and MAX_DIM_DEGREE2 below."""
+        _guard(self.b.dim, self.max_dim, MAX_DIM_DEGREE3 if n == 3 else MAX_DIM_DEGREE2,
+               f"degree-{n} differential")
+        return differential_matrix(self.b, n)
+
+    def rank(self, n: int, shared_targets: bool = False) -> int:
+        """rank D_n; with shared_targets (n = 3 only), the rank of D3 with
+        its (4,2) targets merged in YI/IY pairs (shared_target_matrix)."""
+        if (n, shared_targets) not in self._ranks:
+            m = self.matrix(n)
+            if shared_targets:
+                m = shared_target_matrix(m, self.b.dim)
+            self._ranks[n, shared_targets] = m.rank()
+        return self._ranks[n, shared_targets]
+
+    def dim_h(self, n: int, shared_targets: bool = False) -> int:
+        """dim H^n = dim C^n - rank D_n - rank D_{n-1}.  At n = 3 either
+        reading of the degree-4 group is coherent: shared_targets merges
+        the (4,2) targets, and the kernel can only grow."""
+        dim_c = _DELTA_SOURCES[n][0].size(self.b.dim)
+        return dim_c - self.rank(n, shared_targets) - self.rank(n - 1)
+
+    def cocycles(self) -> list:
+        """Basis of Z^2 = ker(delta^2) as YBH2Cochain objects."""
+        return [YBH2Cochain.unflatten(v, self.b.field, self.b.dim)
+                for v in self.matrix(2).kernel_basis()]
+
+    def coboundaries(self) -> list:
+        """Basis of B^2 = im(delta^1): the columns of D1 at its RREF pivots
+        (an independent spanning subset, deterministically chosen)."""
+        b, d1 = self.b, self.matrix(1)
+        return [YBH2Cochain.unflatten(d1.column(c), b.field, b.dim) for c in d1.rref()[1]]
+
+    def d2d1_zero(self) -> bool:
+        """D2 D1 = 0, as an exact matrix product."""
+        return self.matrix(2).matmul(self.matrix(1)).is_zero()
+
+    def d3d2_zero(self) -> bool:
+        """delta^3 D2 = 0 on every column of D2; D3 is not assembled."""
+        b, d2 = self.b, self.matrix(2)
+        return all(delta3(b, YBH3Cochain.unflatten(d2.column(idx), b.field, b.dim)).is_zero()
+                   for idx in range(d2.cols))
+
+
+def cocycle_basis(b: BraidedAlgebra) -> list:
+    return Complex(b).cocycles()
+
+
+def cohomology_dimension(b: BraidedAlgebra) -> int:
+    return Complex(b).dim_h(2)
+
+
+def h3_dimension(b: BraidedAlgebra, shared_targets: bool = False) -> int:
+    return Complex(b).dim_h(3, shared_targets)

@@ -1,4 +1,6 @@
+import ast
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -7,14 +9,15 @@ from pathlib import Path
 import pytest
 
 import ybh.cohomology
+import ybh.linalg
 from ybh import hopf
 from ybh.braided import (AXIOM_TERMS, assoc_defect, braided_algebra, iy_defect, read_tables,
                          yb_defect, yi_defect)
 from ybh.cli import main
 from ybh.cohomology import (C2, C3, C4, D1_TERMS, D2_TERMS, D3_TERMS, HOCHSCHILD_D0_TERMS,
-                            ComplexSlice, YBH2Cochain, YBH3Cochain,
+                            Complex, YBH2Cochain, YBH3Cochain,
                             cochain2_sizes, cochain3_sizes, cochain4_size,
-                            cocycle_basis, coboundary_basis,
+                            cocycle_basis,
                             cohomology_dimension, delta1, delta2, delta2_oracle,
                             delta3, delta3_components, differential_matrix,
                             flatten2, flatten3, h3_dimension,
@@ -446,7 +449,7 @@ def test_cocycle_and_coboundary_bases(name, field):
         out = delta2(b, c)
         assert out.beta.is_zero() and out.alpha_yi.is_zero() \
             and out.alpha_iy.is_zero() and out.gamma.is_zero()
-    boundaries = coboundary_basis(b)
+    boundaries = Complex(b).coboundaries()
     for c in boundaries:
         assert delta2(b, c).is_zero()
     # coboundaries lie in the span of the cocycle basis
@@ -471,7 +474,7 @@ def test_z2_adjoint_coboundary_rank_is_four():
     d1 = differential_matrix(b, 1)
     assert d1.rank() == 4
     assert d1.kernel_basis() == []
-    assert len(coboundary_basis(b)) == 4
+    assert len(Complex(b).coboundaries()) == 4
 
 
 def test_cohomology_dimension_and_guard():
@@ -561,6 +564,64 @@ def test_cohomology_degree3_assembles_d3_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 144  # dim C^3 at d=2: one private D3, merged for shared
 
 
+@pytest.mark.parametrize("degree", [2, 3])
+def test_cohomology_eliminates_each_matrix_once(tmp_path, capsys, monkeypatch, degree):
+    # loading the document inverts R; the report, Z^2 basis included, then
+    # reads D1 and D2 (and at degree 3 D3 and its shared-target merge) off
+    # one elimination each
+    path = tmp_path / "z2_adjoint.json"
+    path.write_text(canonical_json(algebra_to_json(build_fixture("z2_adjoint", QQ))))
+    shapes = Counter()
+    eliminate = ybh.linalg._eliminate
+
+    def counting_eliminate(m):
+        shapes[m.rows, m.cols] += 1
+        return eliminate(m)
+
+    monkeypatch.setattr(ybh.linalg, "_eliminate", counting_eliminate)
+    assert main(["cohomology", str(path), "--degree", str(degree), "--basis"]) == 0
+    capsys.readouterr()
+    expected = {(4, 4), (C2.size(2), 4), (C3.size(2), C2.size(2))}
+    if degree == 3:
+        assoc = C4.offsets(2)["prod_yi"] - C4.offsets(2)["assoc_yi"]
+        expected |= {(C4.size(2), C3.size(2)), (C4.size(2) - assoc, C3.size(2))}
+    assert shapes == Counter(expected)  # 3 eliminations at degree 2, 5 at degree 3
+
+
+def test_prod_iy_is_the_negated_prod_yi_row_table():
+    negated = Counter((-sign, lifts) for sign, lifts in D3_TERMS["prod_yi"])
+    assert Counter(D3_TERMS["prod_iy"]) == negated
+
+
+@pytest.mark.parametrize("name,field", [("dual_trivial", QQ), ("z2_adjoint", GF(3))])
+def test_prod_iy_block_of_d3_is_the_negated_prod_yi_block(name, field):
+    b = build_fixture(name, field)
+    offsets, size = C4.offsets(b.dim), b.dim ** 6
+    blocks = {"prod_yi": {}, "prod_iy": {}}
+    for r, c, v in differential_matrix(b, 3).entries():
+        for block, start in ((k, offsets[k]) for k in blocks):
+            if start <= r < start + size:
+                blocks[block][r - start, c] = v
+    assert blocks["prod_yi"]  # the blocks are not trivially equal
+    assert blocks["prod_iy"] == {k: field.neg(v) for k, v in blocks["prod_yi"].items()}
+
+
+def test_guards_sit_in_complex_matrix_alone():
+    # every degree's dimension guard is Complex.matrix's; the readings that
+    # carried their own guard are gone from the library
+    src = Path(ybh.cohomology.__file__).parent
+    tree = ast.parse((src / "cohomology.py").read_text())
+    callers = [(cls.name, fn.name) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for fn in cls.body if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "_guard"]
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "_guard"]
+    assert callers == [("Complex", "matrix")] and len(calls) == 1
+    for path in src.glob("*.py"):
+        assert not re.search(r"\b(ComplexSlice|coboundary_basis)\b", path.read_text()), path.name
+
+
 def test_iota_r_zero_and_coboundary():
     b = build_fixture("dual_trivial", GF(2))
     br = braided_multiplication(b, 1)
@@ -613,11 +674,11 @@ def test_degree2_flatten_round_trip():
     assert unflatten2(flatten2(c), field, 2) == c
 
 
-def test_complex_slice_builds_and_checks():
+def test_complex_chain_identities():
     for name in ("z2_adjoint", "dual_trivial"):
         b = build_fixture(name, GF(3))
-        slice_ = ComplexSlice.build(b, check_d3=True)
-        assert slice_.d2.matmul(slice_.d1).is_zero()
+        cx = Complex(b)
+        assert cx.d2d1_zero() and cx.d3d2_zero()
 
 
 # ---------------------------------------------------------------- summand tables

@@ -119,6 +119,18 @@ def test_cli_cohomology_guard(tmp_path, capsys, monkeypatch):
     assert main(["cohomology", str(small)]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "DOC", "--prime", "2"],
+    ["cohomology", "DOC", "--field", "q", "--prime", "2"],
+    ["construct", "--fixture", "z2_adjoint", "--prime", "2"],
+], ids=["cohomology-no-field", "cohomology-field-q", "construct"])
+def test_cli_prime_needs_field_prime(tmp_path, capsys, argv):
+    # a --prime that no prime --field reads exits 2 rather than answering over Q
+    _, path = _write_fixture(tmp_path, "dual_trivial", QQ)
+    assert main([str(path) if a == "DOC" else a for a in argv]) == 2
+    assert capsys.readouterr().err == "input error: --prime needs --field prime\n"
+
+
 def test_cli_deform_verify_and_extend(tmp_path, capsys):
     b = build_fixture("z2_adjoint", QQ)
     cocycles = cocycle_basis(b)
@@ -445,7 +457,7 @@ def test_cli_guard_message_advice_lifts_the_guard(tmp_path, capsys, monkeypatch,
 
 def test_cli_selftest_max_dim_bounds_every_guard(capsys, monkeypatch):
     # selftest --max-dim admits fixtures up to that dimension, and every
-    # guard it runs (complex slice, cocycle basis) takes the same bound
+    # guard its Complex runs (chain checks, cocycle basis) takes the same bound
     monkeypatch.setattr("ybh.cohomology.MAX_DIM_DEGREE2", 1)
     assert main(["selftest", "--trials", "1", "--max-dim", "2"]) == 0
     report = json.loads(capsys.readouterr().out)
