@@ -7,19 +7,23 @@ operator R are kept strictly separate and are named by their shapes:
 * YI:  (mu ox 1)(1 ox R)(R ox 1)  =  R o (1 ox mu)
 * IY:  (1 ox mu)(R ox 1)(1 ox R)  =  R o (mu ox 1)
 
-Every check works on the defect (left side minus right side) and reports the
-lexicographically first input basis tuple where the defect is nonzero, which
-makes failures reproducible and debuggable.
+Every verdict reports the lexicographically first input basis tuple where
+the two sides of the identity differ, which makes failures reproducible and
+debuggable.  A verdict composes the two sides (check_identity) and compares
+them; that input tuple is the first nonzero column of the defect (left side
+minus right side).  The defect functions stay for the deformation machinery,
+which needs their hbar-degrees over truncated rings, and as the verdicts'
+oracle.
 
 Each axiom is written once, as rows of a term table (AXIOM_TERMS), and each
 defect is a read of it by the one evaluator, sum_terms; the differentials
 of the cochain complex are tables in the same notation.  Each structure
 class declares its tokens once (tokens()); read_tables, the one reader of
-structure tables, keeps the lifts of slot-free words on the structure.  The mirror
-involution conjugates every structure map by the tensor-factor reversal and
-exchanges the YI and IY axioms; on table rows it is mirror_terms, which
-generates the IY rows from the YI rows (the tests keep mirror_map as its
-oracle).
+structure tables, and check_identity keep the lifts of slot-free words on
+the structure.  The mirror involution conjugates every structure map by the
+tensor-factor reversal and exchanges the YI and IY axioms; on table rows it
+is mirror_terms, which generates the IY rows from the YI rows (the tests
+keep mirror_map as its oracle).
 """
 
 from __future__ import annotations
@@ -103,20 +107,50 @@ def sum_terms(rows, maps: dict, lifted: dict | None = None) -> TensorMap:
     return total
 
 
-def read_tables(x, slots: dict, *tables) -> list:
-    """The tables read (sum_terms) at x's tokens with the slots ({slot token:
-    map}) filled.  x is a structure, whose slot-free words are lifted once
-    and kept on it (write-once: its maps are immutable), or a {token: map}
-    dict, whose words are lifted once per call.  Words with a slot token are
-    lifted per call and never kept."""
+def _kept_lifts(x, slots, tables) -> dict:
+    """x's lifts with every slot-free word of the tables among them.  x is a
+    structure, whose slot-free words are lifted once and kept on it
+    (write-once: its maps are immutable), or a {token: map} dict, whose words
+    are lifted once per call.  A structure's kept lifts start from those of
+    its LIFT_PARTS, which hold the same maps under the same words."""
     kept = dict(x) if isinstance(x, dict) else vars(x).get("_lifted")
     if kept is None:
-        kept = x._lifted = dict(x.tokens())
+        kept = x._lifted = {}
+        for part in getattr(x, "LIFT_PARTS", ()):
+            kept.update(vars(getattr(x, part)).get("_lifted", {}))
+        kept.update(x.tokens())
     for word in {word for rows in tables for _, lifts in rows for word in lifts}.difference(kept):
         if slots.keys().isdisjoint(word):
             kept[word] = _lift(word, kept)
-    lifted = {**kept, **slots}
+    return kept
+
+
+def read_tables(x, slots: dict, *tables) -> list:
+    """The tables read (sum_terms) at x's tokens (a structure or a {token:
+    map} dict, as in _kept_lifts) with the slots ({slot token: map}) filled.
+    Words with a slot token are lifted per call and never kept."""
+    lifted = {**_kept_lifts(x, slots, tables), **slots}
     return [sum_terms(rows, lifted, lifted) for rows in tables]
+
+
+def check_identity(x, name: str, rows) -> CheckResult:
+    """The verdict on a two-row identity table, (+1, left) and (-1, right):
+    the two sides composed from x's lifts (x as in read_tables) and
+    compared.  Equal stored data prove the identity; otherwise the sides are
+    compared column by column, zero entries dropped, and the witness is the
+    first column where they differ (the first nonzero column of the defect,
+    left minus right)."""
+    kept = _kept_lifts(x, {}, (rows,))
+    (_, left), (_, right) = rows
+    a, b = (compose(*map(kept.__getitem__, side)) for side in (left, right))
+    da, db = a.to_sparse_data(), b.to_sparse_data()
+    if da != db:
+        sub, is_zero, zero = a.field.sub, a.field.is_zero, a.field.zero
+        for c in sorted(da.keys() | db.keys()):
+            ca, cb = da.get(c, {}), db.get(c, {})
+            if not all(is_zero(sub(ca.get(r, zero), cb.get(r, zero))) for r in ca.keys() | cb.keys()):
+                return CheckResult(name, False, decode_index(c, a.dim, a.in_arity))
+    return CheckResult(name, True)
 
 
 _SWAP_ALPHA = str.maketrans("aA", "Aa")
@@ -166,19 +200,19 @@ def iy_defect(mu: TensorMap, r: TensorMap) -> TensorMap:
 
 
 def check_associative(mu: TensorMap) -> CheckResult:
-    return _check("associativity", assoc_defect(mu))
+    return check_identity({"m": mu}, "associativity", AXIOM_TERMS["assoc"])
 
 
 def check_yb(r: TensorMap) -> CheckResult:
-    return _check("yang-baxter", yb_defect(r))
+    return check_identity({"R": r}, "yang-baxter", AXIOM_TERMS["yb"])
 
 
 def check_yi(mu: TensorMap, r: TensorMap) -> CheckResult:
-    return _check("yi", yi_defect(mu, r))
+    return check_identity({"m": mu, "R": r}, "yi", AXIOM_TERMS["yi"])
 
 
 def check_iy(mu: TensorMap, r: TensorMap) -> CheckResult:
-    return _check("iy", iy_defect(mu, r))
+    return check_identity({"m": mu, "R": r}, "iy", AXIOM_TERMS["iy"])
 
 
 # ---------------------------------------------------------------- domain types
@@ -205,21 +239,21 @@ class AssociativeAlgebra:
 
     def check_associative(self) -> CheckResult:
         if self._assoc is None:
-            self._assoc = check_associative(self.mu)
+            self._assoc = check_identity(self, "associativity", AXIOM_TERMS["assoc"])
         return self._assoc
 
-    def unit_defects(self) -> list:
-        """The unit_left and unit_right defects, computed once."""
+    def unit_checks(self) -> list:
+        """The unit-left and unit-right verdicts, computed once."""
         if self._unit is None:
-            self._unit = read_tables(self, {}, AXIOM_TERMS["unit_left"], AXIOM_TERMS["unit_right"])
+            self._unit = [check_identity(self, "unit-left", AXIOM_TERMS["unit_left"]),
+                          check_identity(self, "unit-right", AXIOM_TERMS["unit_right"])]
         return self._unit
 
     def check_unit(self) -> CheckResult:
         if self.unit is None:
             return CheckResult("unit", True)
-        left, right = self.unit_defects()
-        res = _check("unit", left)
-        return res if not res.ok else _check("unit", right)
+        failed = [res for res in self.unit_checks() if not res.ok]
+        return CheckResult("unit", not failed, failed[0].witness if failed else None)
 
     def require(self):
         res = self.check_associative()
@@ -248,7 +282,7 @@ class YangBaxterOperator:
 
     def check_yb(self) -> CheckResult:
         if self._yb is None:
-            self._yb = check_yb(self.r)
+            self._yb = check_identity(self, "yang-baxter", AXIOM_TERMS["yb"])
         return self._yb
 
     @property
@@ -258,7 +292,10 @@ class YangBaxterOperator:
                 raise InputError("construct the inverse over the base field first")
             n = self.dim ** 2
             m = ExactMatrix.from_entries(self.field, n, n, self.r.entries())
-            inv = invert_matrix(m)
+            try:
+                inv = invert_matrix(m)
+            except InputError as exc:
+                raise InputError(f"R is not invertible: {exc}") from exc
             self._inverse = TensorMap.from_entries(self.field, self.dim, 2, 2, inv.entries())
         return self._inverse
 
@@ -273,6 +310,8 @@ class YangBaxterOperator:
 
 class BraidedAlgebra:
     """An associative algebra with a compatible YB operator (YI and IY hold)."""
+
+    LIFT_PARTS = ("algebra", "yb")
 
     def __init__(self, algebra: AssociativeAlgebra, yb: YangBaxterOperator):
         if algebra.dim != yb.dim:
@@ -307,12 +346,12 @@ class BraidedAlgebra:
 
     def check_yi(self) -> CheckResult:
         if self._yi is None:
-            self._yi = check_yi(self.mu, self.r)
+            self._yi = check_identity(self, "yi", AXIOM_TERMS["yi"])
         return self._yi
 
     def check_iy(self) -> CheckResult:
         if self._iy is None:
-            self._iy = check_iy(self.mu, self.r)
+            self._iy = check_identity(self, "iy", AXIOM_TERMS["iy"])
         return self._iy
 
     @property

@@ -114,6 +114,8 @@ def cmd_check(args) -> int:
     doc = load_json(args.file)
     _guard_document(doc, args, MAX_DIM_CHECK, "check command")
     obj = algebra_from_json(doc, validate=False)
+    if isinstance(obj, BraidedAlgebra):
+        obj.yb.r_inverse  # a singular R is an input error, as on a validated load
     entries = _check_entries(obj)
     report = {**_REPORT, "command": "check",
               "input_digest": digest(doc),

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .braided import (AXIOM_TERMS, AssociativeAlgebra, BraidedAlgebra, YangBaxterOperator,
-                      _check, assert_braided, braided_algebra, read_tables)
+                      _check, assert_braided, braided_algebra, check_identity, read_tables)
 from .cohomology import D1_TERMS, Cochain, Summands, YBH2Cochain, delta2 as ybh_delta2, linearize
 from .constructions import FiniteGroup, dual_numbers
 from .errors import InputError, InternalCheckError, ValidationError
@@ -90,6 +90,8 @@ class HopfAlgebra:
     associativity and unit verdicts are computed once and shared with every
     braided algebra built on it."""
 
+    LIFT_PARTS = ("algebra",)
+
     def __init__(self, field, dim, mu, eta, delta, epsilon, antipode, labels=None):
         shapes = {"mu": (mu, 2, 1), "eta": (eta, 0, 1), "Delta": (delta, 1, 2),
                   "epsilon": (epsilon, 1, 0), "S": (antipode, 1, 1)}
@@ -126,13 +128,10 @@ class HopfAlgebra:
         """One check per row of HOPF_AXIOM_TERMS, in its order, computed
         once; the three algebra verdicts are the AssociativeAlgebra's."""
         if self._checks is None:
-            unit_left, unit_right = self.algebra.unit_defects()
-            known = {"associativity": self.algebra.check_associative(),
-                     "unit-left": _check("unit-left", unit_left),
-                     "unit-right": _check("unit-right", unit_right)}
-            rest = {name: rows for name, rows in HOPF_AXIOM_TERMS.items() if name not in known}
-            known.update(zip(rest, map(_check, rest, read_tables(self, {}, *rest.values()))))
-            self._checks = [known[name] for name in HOPF_AXIOM_TERMS]
+            known = {res.name: res for res in (self.algebra.check_associative(),
+                                               *self.algebra.unit_checks())}
+            self._checks = [known[name] if name in known else check_identity(self, name, rows)
+                            for name, rows in HOPF_AXIOM_TERMS.items()]
         return self._checks
 
     def require(self) -> "HopfAlgebra":
@@ -146,8 +145,8 @@ class HopfAlgebra:
     @property
     def flags(self) -> dict:
         if self._flags is None:
-            defects = read_tables(self, {}, *HOPF_FLAG_TERMS.values())
-            self._flags = {name: t.is_zero() for name, t in zip(HOPF_FLAG_TERMS, defects)}
+            self._flags = {name: check_identity(self, name, rows).ok
+                           for name, rows in HOPF_FLAG_TERMS.items()}
         return self._flags
 
     def __repr__(self):

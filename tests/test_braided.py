@@ -4,14 +4,16 @@ from pathlib import Path
 
 import pytest
 
-from ybh.braided import (BraidedHomomorphism, braided_algebra,
+from ybh import braided
+from ybh.braided import (AXIOM_TERMS, BraidedHomomorphism, _check, braided_algebra,
                          braided_multiplication, check_associative,
-                         check_braided_homomorphism, check_iy, check_yb,
-                         check_yi, iy_defect, mirror, mirror_map, yi_defect)
+                         check_braided_homomorphism, check_identity, check_iy, check_yb,
+                         check_yi, iy_defect, mirror, mirror_map, sum_terms, yi_defect)
 from ybh.constructions import FiniteGroup, group_algebra, matrix_algebra_2x2, trivial_braiding
 from ybh.errors import InputError, ValidationError
-from ybh.fixtures import build_fixture
-from ybh.hopf import braided_from_hopf, group_hopf
+from ybh.fixtures import build_fixture, fixture_names
+from ybh.hopf import (HOPF_AXIOM_TERMS, HOPF_FLAG_TERMS, HopfAlgebra, braided_from_hopf,
+                      group_hopf)
 from ybh.rng import SplitMix64
 from ybh.scalars import GF, QQ
 from ybh.tensor import (TensorMap, compose, encode_index, identity_map,
@@ -203,3 +205,120 @@ def test_structure_reads_have_one_reader():
         callers.update(f"{path.stem}.{fn}" for fn in _sum_terms_callers(ast.parse(text)))
     assert lift_users == set()
     assert callers == {"cohomology.yb_differential_d3", "cohomology.delta3_components"}
+
+
+# ---------------------------------------------------------------- check_identity
+# Each verdict compares the two composed sides; the defect route (_check of
+# the rows' sum, lifted afresh) is its oracle, witness included.
+
+def _oracle(x, tokens, tables):
+    """Assert that check_identity on x agrees with _check of the defect of
+    every table ({name: rows}) read at tokens."""
+    for name, rows in tables.items():
+        assert check_identity(x, name, rows) == _check(name, sum_terms(rows, tokens, {})), name
+
+
+def _axioms(b):
+    return {name: rows for name, rows in AXIOM_TERMS.items()
+            if b.algebra.unit is not None or not name.startswith("unit")}
+
+
+def _perturbed(t, rng):
+    """t with one seeded scalar added at one seeded position."""
+    f = t.field
+    v = f.from_int(rng.randint(1, f.characteristic - 1 if f.characteristic else 9))
+    one = TensorMap.from_entries(f, t.dim, t.in_arity, t.out_arity,
+                                 [(rng.randrange(t.rows), rng.randrange(t.cols), v)])
+    return t + one
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=["Q", "F2", "F101"])
+def test_check_identity_matches_the_defect_on_perturbed_fixtures(field):
+    rng = SplitMix64(61)
+    witnesses = set()
+    for fx in fixture_names():
+        b = build_fixture(fx, field)
+        maps = {"mu": b.mu, "r": b.r, "unit": b.algebra.unit}
+        for key in [k for k, t in maps.items() if t is not None]:
+            changed = dict(maps, **{key: _perturbed(maps[key], rng)})
+            c = braided_algebra(field, b.dim, changed["mu"], changed["r"],
+                                unit=changed["unit"], require=False)
+            _oracle(c, c.tokens(), _axioms(c))
+            witnesses.update(res.witness for res in c.all_checks() if not res.ok)
+    assert len(witnesses) > 3  # the perturbations fail at many inputs
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=["Q", "F2", "F101"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_check_identity_matches_the_defect_on_random_pairs(field, d):
+    # dense over the prime fields, sparse over Q
+    rng = SplitMix64(67 + d)
+    for _ in range(3):
+        b = braided_algebra(field, d, random_map(field, d, 2, 1, rng),
+                            random_map(field, d, 2, 2, rng),
+                            unit=random_map(field, d, 0, 1, rng), require=False)
+        _oracle(b, b.tokens(), _axioms(b))
+        tokens = {"m": b.mu, "R": b.r}
+        for name, key, res in (("associativity", "assoc", check_associative(b.mu)),
+                               ("yang-baxter", "yb", check_yb(b.r)),
+                               ("yi", "yi", check_yi(b.mu, b.r)),
+                               ("iy", "iy", check_iy(b.mu, b.r))):
+            assert res == _check(name, sum_terms(AXIOM_TERMS[key], tokens, {}))
+
+
+def test_check_identity_matches_the_defect_on_hopf_axioms():
+    # k[Z/3] over Q with S = 1 fails both antipode axioms at (1,)
+    g = group_hopf(FiniteGroup.cyclic(3), QQ)
+    h = HopfAlgebra(QQ, 3, g.mu, g.eta, g.delta, g.epsilon, identity_map(QQ, 3, 1))
+    _oracle(h, h.tokens(), {**HOPF_AXIOM_TERMS, **HOPF_FLAG_TERMS})
+    failed = {c.name: c.witness for c in h.check_hopf() if not c.ok}
+    assert failed == {"antipode-left": (1,), "antipode-right": (1,)}
+    assert h.flags == {"commutative": True, "cocommutative": True, "involutory": True}
+
+
+def test_check_identity_passes_maps_stored_with_explicit_zeros():
+    same = ((+1, ("f",)), (-1, ("g",)))
+    for field, extra in ((QQ, QQ.zero), (GF(5), 5)):
+        f = group_algebra(FiniteGroup.cyclic(2), field).mu
+        data = {c: dict(col) for c, col in f.to_sparse_data().items()}
+        data[0][1] = extra  # an explicit zero entry
+        g = TensorMap(field, 2, 2, 1, "sparse", data)
+        assert g.to_sparse_data() != f.to_sparse_data()
+        # the explicit zero on the -1 side and on the +1 side
+        assert check_identity({"f": f, "g": g}, "same", same).ok
+        assert check_identity({"f": g, "g": f}, "same", same).ok
+        assert check_associative(g).ok
+    one = identity_map(GF(5), 2, 1)
+    unreduced = TensorMap(GF(5), 2, 1, 1, "sparse", {0: {0: 6}, 1: {1: 1}})
+    assert check_identity({"f": one, "g": unreduced}, "same", same).ok
+    assert check_identity({"f": unreduced, "g": one}, "same", same).ok
+    # a column that differs only by an explicit zero is not the witness
+    zero_then_moved = TensorMap(GF(5), 2, 1, 1, "sparse", {0: {0: 1, 1: 0}, 1: {0: 1}})
+    for pair in ({"f": one, "g": zero_then_moved}, {"f": zero_then_moved, "g": one}):
+        res = check_identity(pair, "same", same)
+        assert (res.ok, res.witness) == (False, (1,))
+
+
+def test_identity_tables_have_a_left_and_a_right_side():
+    for rows in (*AXIOM_TERMS.values(), *HOPF_AXIOM_TERMS.values(), *HOPF_FLAG_TERMS.values()):
+        assert [sign for sign, _ in rows] == [+1, -1]
+
+
+@pytest.mark.parametrize("name", ["s3_adjoint", "mat2_trivial", "frobenius_z2"])
+def test_braided_checks_read_the_lifts_of_their_parts(monkeypatch, name):
+    # the algebra's, the operator's and the braided algebra's verdicts share
+    # their kept lifts, so building a fixture lifts each slot-free word at
+    # most once per dimension (frobenius_z2 is built on V = X ox X from k[Z/2];
+    # L is the left integral's slot, lifted per call)
+    lifted, lift = [], braided._lift
+
+    def spy(word, maps):
+        if "L" not in word:
+            lifted.append((word, next(iter(maps.values())).dim))
+        return lift(word, maps)
+
+    monkeypatch.setattr(braided, "_lift", spy)
+    b = build_fixture(name, QQ)
+    assert lifted and len(lifted) == len(set(lifted)), sorted(lifted)
+    assert b._lifted["m1"] is b.algebra._lifted["m1"]
+    assert b._lifted["R1"] is b.yb._lifted["R1"]

@@ -25,6 +25,9 @@ def test_compare_reports_same_tree_is_byte_identical(tmp_path):
     # z2_adjoint over F2 has cocycles that extend and ones that do not
     assert {codes[n] for n in codes if ".extend" in n} == {0, 1}
     assert codes["z2_adjoint-F2.cohomology3.json"] == 0
+    # one more entry in mu, R or the unit fails a check; R stays invertible
+    assert {n: codes[n] for n in codes if ".perturbed-" in n} == {
+        f"z2_adjoint-F2.perturbed-{key}.check.json": 1 for key in ("mu", "R", "unit")}
     assert codes["hopf-kS3-F2.cohomology2.json"] == codes["hopf-dual-F2.check.json"] == 0
     assert json.loads((tmp_path / "a" / "exit_codes.json").read_text()) == codes
     (tmp_path / "b" / "z2_adjoint-F2.check.json").write_text("{}")

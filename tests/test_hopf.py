@@ -162,19 +162,22 @@ def test_adjoint_operator_over_truncated_ring_matches_composite(base):
 
 
 def _spy(monkeypatch, names):
-    """Count calls of the braided module's axiom defects."""
+    """Count the braided module's check_identity calls per axiom name."""
     calls = dict.fromkeys(names, 0)
-    for name in names:
-        def spy(*args, _real=getattr(braided, name), _name=name):
-            calls[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(braided, name, spy)
+    real = braided.check_identity
+
+    def spy(x, name, rows):
+        if name in calls:
+            calls[name] += 1
+        return real(x, name, rows)
+
+    monkeypatch.setattr(braided, "check_identity", spy)
     return calls
 
 
 @pytest.mark.parametrize("name", ["s3_adjoint", "mat2_trivial", "z2_adjoint"])
 def test_fixture_construction_runs_each_axiom_once(monkeypatch, name):
-    calls = _spy(monkeypatch, ["assoc_defect", "yb_defect", "yi_defect", "iy_defect"])
+    calls = _spy(monkeypatch, ["associativity", "yang-baxter", "yi", "iy"])
     once = dict.fromkeys(calls, 1)
     b = build_fixture(name, GF(101))
     assert calls == once
@@ -184,10 +187,10 @@ def test_fixture_construction_runs_each_axiom_once(monkeypatch, name):
 
 def test_braided_multiplication_reuses_the_yb_verdict(monkeypatch):
     b = build_fixture("s3_adjoint", QQ)
-    calls = _spy(monkeypatch, ["assoc_defect", "yb_defect"])
+    calls = _spy(monkeypatch, ["associativity", "yang-baxter"])
     out = braided_multiplication(b, 2)
     assert out.yb is b.yb
-    assert calls == {"assoc_defect": 1, "yb_defect": 0}
+    assert calls == {"associativity": 1, "yang-baxter": 0}
 
 
 @pytest.mark.parametrize("fault,message", [("not-yb", "YBE"), ("twice", "yi")])
@@ -361,21 +364,14 @@ def test_psi_map_zero_and_coboundary():
 
 
 def test_psi_map_verifies_the_adjoint_braiding_once(monkeypatch):
-    calls = []
-    real = braided.yb_defect
-
-    def spy(r):
-        calls.append(r)
-        return real(r)
-
-    monkeypatch.setattr(braided, "yb_defect", spy)
+    calls = _spy(monkeypatch, ["yang-baxter"])
     h = group_hopf(FiniteGroup.cyclic(3), GF(7))
     zero2 = HopfTwoCochain(TensorMap.zero(h.field, h.dim, 2, 1),
                            TensorMap.zero(h.field, h.dim, 1, 2))
     cochains = [zero2] + [hopf_coboundary(h, f) for f in _normalized_f_basis(h)[:2]]
     for c in cochains:
         psi_map(h, c)
-    assert len(calls) == 1
+    assert calls == {"yang-baxter": 1}
     assert braided_from_hopf(h) is braided_from_hopf(h)
 
 

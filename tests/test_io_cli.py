@@ -252,6 +252,33 @@ def test_cli_selftest_deterministic(tmp_path, capsys):
     assert any(c["name"].startswith("obstruction-cocycle") for c in report["checks"])
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)])
+def test_cli_check_rejects_a_singular_r(tmp_path, capsys, field):
+    # R = 0 satisfies the YBE, YI and IY, but is not invertible: an input
+    # error that names R, for check as for cohomology
+    _, path = _write_fixture(tmp_path, "z2_adjoint", field)
+    doc = json.loads(path.read_text())
+    doc["R"] = []
+    path.write_text(json.dumps(doc))
+    for command in ("check", "cohomology"):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: R is not invertible")
+
+
+def test_cli_dispatches_to_the_command_bound_at_call_time(tmp_path, capsys, monkeypatch):
+    # a cmd_* rebound between two main calls (as perfbench's tracer does) is
+    # the one the second call runs
+    from ybh import cli
+    _, path = _write_fixture(tmp_path, "z2_adjoint", QQ)
+    assert main(["check", str(path)]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.file) or 7)
+    assert main(["check", str(path)]) == 7
+    assert seen == [str(path)]
+
+
 def test_cli_rejects_unknown_flags():
     with pytest.raises(SystemExit) as exc:
         main(["cohomology", "--degree"])

@@ -17,6 +17,9 @@ The report set, over Q, F2 and F101:
   deform --extend of every Z^2 basis cocycle, and deform --series of each
   cocycle's order-1 series, or of its order-2 series when the extension
   succeeds; cohomology --degree 3 when d <= 3;
+* for every fixture with d <= 4, check of up to three failing documents
+  (not over F3): the fixture with one more entry in mu, in R or in the unit
+  (perturbed_docs), so that witnesses are compared too;
 * for one construct --input spec per construction kind (SPECS: the MCQ
   Z/2 u Z/3, the heap rack of Z/2 x Z/2, the adjoint braiding of S3, the
   braided Frobenius algebra of Z/4 and the transposition braiding on
@@ -43,7 +46,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 FIELDS = {"Q": ["--field", "q"],
@@ -105,6 +108,23 @@ def hopf_docs(fields) -> dict:
     return docs
 
 
+def perturbed_docs(algebra: dict) -> dict:
+    """{key: the braided document with one more entry, of scalar 1, in its
+    map key}, for mu, R and the unit when there is one.  The entry goes to
+    the first basis tuple (lexicographic) where the map has none.  R of every
+    fixture permutes the basis of V ox V, so an entry off its support leaves
+    its determinant unchanged and R invertible (a singular R is an input
+    error)."""
+    d = algebra["dim"]
+    out = {}
+    for key, slots in (("mu", 3), ("R", 4), ("unit", 1)):
+        if key in algebra:
+            taken = {tuple(row[:-1]) for row in algebra[key]}
+            free = next(t for t in product(range(d), repeat=slots) if t not in taken)
+            out[key] = {**algebra, key: algebra[key] + [[*free, "1"]]}
+    return out
+
+
 def write_reports(out: Path, fixture_names=None, fields=FIELDS, selftest=True,
                   specs=SPECS) -> dict:
     """Write the report set of the ybh package on sys.path into out; return
@@ -141,6 +161,10 @@ def write_reports(out: Path, fixture_names=None, fields=FIELDS, selftest=True,
         run(f"{stem}.check.json", "check", doc)
         if fixtures.FIXTURES[fx]["dim"] > 4:
             return
+        if tag in fields and algebra:
+            for key, broken in perturbed_docs(algebra).items():
+                run(f"{stem}.perturbed-{key}.check.json", "check",
+                    put(f"{stem}.perturbed-{key}.algebra.json", broken))
         report = run(f"{stem}.cohomology2.json", "cohomology", doc, "--degree", "2", "--basis")
         if fixtures.FIXTURES[fx]["dim"] <= 3:
             run(f"{stem}.cohomology3.json", "cohomology", doc, "--degree", "3")
