@@ -55,9 +55,12 @@ class CheckResult:
 
 
 def _witness(defect: TensorMap) -> tuple | None:
-    """First (column-lex) input tuple where a defect map is nonzero."""
-    data = defect.to_sparse_data()
-    return decode_index(min(data), defect.dim, defect.in_arity) if data else None
+    """First (column-lex) input tuple where a defect map is nonzero; a
+    column that stores only zeros is not a witness."""
+    is_zero = defect.field.is_zero
+    c = min((c for c, col in defect.to_sparse_data().items()
+             if not all(map(is_zero, col.values()))), default=None)
+    return None if c is None else decode_index(c, defect.dim, defect.in_arity)
 
 
 def _check(name: str, defect: TensorMap) -> CheckResult:

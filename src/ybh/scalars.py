@@ -1,24 +1,29 @@
 """Exact coefficient rings: rationals, prime fields, and hbar-truncated extensions.
 
-Scalars are plain Python values -- `fractions.Fraction` over the rationals,
-`int` residues in [0, p) over a prime field, and tuples of base scalars over
-a truncated ring k[hbar]/(hbar^m).  The ring objects below carry the
-arithmetic, parsing, and canonical string forms; everything downstream
-(tensor maps, matrices) is generic over them.
+Scalars are plain Python values -- over the rationals an `int` when
+integral, otherwise a `fractions.Fraction` in lowest terms (arithmetic mixes
+them exactly); `int` residues in [0, p) over a prime field; and tuples of
+base scalars over a truncated ring k[hbar]/(hbar^m).  The ring objects below
+carry the arithmetic, parsing, and canonical string forms; everything
+downstream (tensor maps, matrices) is generic over them.
 
 Textual scalar syntax, used in every file format: rationals as "a/b" or "a",
 prime-field elements as decimal residues, truncated scalars as coefficient
-arrays ["c0", "c1", ...].
+arrays ["c0", "c1", ...].  An integer is an optional sign and ASCII digits;
+whitespace may surround the whole scalar.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
 
 _PRIME_LIMIT = 1 << 31
+_RESIDUE = re.compile(r"\s*[+-]?[0-9]+\s*")
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([+-]?[0-9]+))?\s*")
 
 
 def is_prime(n: int) -> bool:
@@ -66,12 +71,13 @@ class FieldSpec:
 
 
 class RationalField:
-    """Arithmetic over Q with Fraction scalars (always in lowest terms)."""
+    """Arithmetic over Q.  A scalar is an `int` when integral, otherwise a
+    `Fraction` in lowest terms; arithmetic mixes them exactly."""
 
     kind = "rational"
     characteristic = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     @property
     def spec(self) -> FieldSpec:
@@ -92,7 +98,7 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(a)
+        return rational_normalize(a.denominator, a.numerator)
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -101,7 +107,7 @@ class RationalField:
         return a == b
 
     def from_int(self, n: int):
-        return Fraction(n)
+        return n
 
     def parse(self, s: str):
         if type(s) is not str:
@@ -113,7 +119,7 @@ class RationalField:
         return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
 
     def random(self, rng, span: int = 9):
-        return Fraction(rng.randint(-span, span), rng.randint(1, span))
+        return rational_normalize(rng.randint(-span, span), rng.randint(1, span))
 
     def __repr__(self):
         return "QQ"
@@ -163,10 +169,9 @@ class PrimeField:
         return n % self.p
 
     def parse(self, s: str):
-        try:
-            return int(s, 10) % self.p
-        except (TypeError, ValueError):
+        if type(s) is not str or not _RESIDUE.fullmatch(s):
             raise InputError(f"bad residue {s!r} for F_{self.p}")
+        return int(s) % self.p
 
     def unparse(self, a) -> str:
         return str(a % self.p)
@@ -195,25 +200,22 @@ def GF(p: int) -> PrimeField:
     return field_for(FieldSpec("prime", p))
 
 
-def rational_normalize(num: int, den: int) -> Fraction:
-    """Reduced fraction with positive denominator; den == 0 is an input error."""
+def rational_normalize(num: int, den: int):
+    """num/den as a rational scalar: an int when integral, otherwise a
+    Fraction in lowest terms with positive denominator; den == 0 is an
+    input error."""
     if den == 0:
         raise InputError("zero denominator")
-    return Fraction(num, den)
+    q = Fraction(num, den)
+    return q.numerator if q.denominator == 1 else q
 
 
-def rational_from_string(s: str) -> Fraction:
-    s = s.strip()
-    if "/" in s:
-        num, _, den = s.partition("/")
-        try:
-            return rational_normalize(int(num, 10), int(den, 10))
-        except ValueError:
-            raise InputError(f"bad rational {s!r}")
-    try:
-        return Fraction(int(s, 10))
-    except ValueError:
-        raise InputError(f"bad rational {s!r}")
+def rational_from_string(s: str):
+    m = _RATIONAL.fullmatch(s)
+    if m is None:
+        raise InputError(f"bad rational {s.strip()!r}")
+    num, den = m.groups()
+    return int(num) if den is None else rational_normalize(int(num), int(den))
 
 
 class TruncatedRing:

@@ -416,9 +416,11 @@ class TensorMap:
         return all(len(col) == 1 and col.get(c) == one for c, col in self._data.items())
 
     def is_zero(self) -> bool:
+        """Whether every entry is zero; a stored zero counts as zero."""
         if self._rep == "dense":
             return not self._data.any()
-        return not self._data
+        is_zero = self.field.is_zero
+        return all(is_zero(v) for col in self._data.values() for v in col.values())
 
     def __eq__(self, other):
         if not isinstance(other, TensorMap):

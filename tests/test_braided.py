@@ -1,12 +1,13 @@
 import ast
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from ybh import braided
-from ybh.braided import (AXIOM_TERMS, BraidedHomomorphism, _check, braided_algebra,
-                         braided_multiplication, check_associative,
+from ybh.braided import (AXIOM_TERMS, BraidedHomomorphism, CheckResult, _check,
+                         braided_algebra, braided_multiplication, check_associative,
                          check_braided_homomorphism, check_identity, check_iy, check_yb,
                          check_yi, iy_defect, mirror, mirror_map, sum_terms, yi_defect)
 from ybh.constructions import FiniteGroup, group_algebra, matrix_algebra_2x2, trivial_braiding
@@ -16,6 +17,7 @@ from ybh.hopf import (HOPF_AXIOM_TERMS, HOPF_FLAG_TERMS, HopfAlgebra, braided_fr
                       group_hopf)
 from ybh.rng import SplitMix64
 from ybh.scalars import GF, QQ
+from ybh.serialize import algebra_from_json, algebra_to_json
 from ybh.tensor import (TensorMap, compose, encode_index, identity_map,
                         random_map, tensor_product, transposition)
 
@@ -207,6 +209,22 @@ def test_structure_reads_have_one_reader():
     assert callers == {"cohomology.yb_differential_d3", "cohomology.delta3_components"}
 
 
+def test_fractions_are_built_in_scalars_and_linalg_only():
+    # the rational representation (int when integral) is scalars.py's rule;
+    # linalg.py divides inside the elimination
+    src = Path(__file__).resolve().parents[1] / "src" / "ybh"
+    builders = {path.name for path in src.glob("*.py") if "Fraction(" in path.read_text()}
+    assert builders == {"scalars.py", "linalg.py"}
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_rational_fixtures_store_int_structure_constants(name):
+    b = build_fixture(name, QQ)
+    for a in (b, algebra_from_json(algebra_to_json(b))):
+        maps = [a.mu, a.r] + ([a.algebra.unit] if a.algebra.unit is not None else [])
+        assert {type(v) for t in maps for _, _, v in t.entries()} == {int}, name
+
+
 # ---------------------------------------------------------------- check_identity
 # Each verdict compares the two composed sides; the defect route (_check of
 # the rows' sum, lifted afresh) is its oracle, witness included.
@@ -297,6 +315,14 @@ def test_check_identity_passes_maps_stored_with_explicit_zeros():
     for pair in ({"f": one, "g": zero_then_moved}, {"f": zero_then_moved, "g": one}):
         res = check_identity(pair, "same", same)
         assert (res.ok, res.witness) == (False, (1,))
+
+
+@pytest.mark.parametrize("field,zero", [(QQ, 0), (QQ, Fraction(0)), (GF(5), 0), (GF(5), 5)])
+def test_witness_skips_columns_that_store_only_zeros(field, zero):
+    defect = TensorMap(field, 2, 2, 1, "sparse", {0: {1: zero}, 2: {0: zero, 1: 1}})
+    assert _check("x", defect) == CheckResult("x", False, (1, 0))
+    zeros = TensorMap(field, 2, 2, 1, "sparse", {0: {0: zero}, 3: {1: zero}})
+    assert _check("x", zeros) == CheckResult("x", True, None)
 
 
 def test_identity_tables_have_a_left_and_a_right_side():

@@ -571,3 +571,16 @@ def test_cli_selftest_rejects_negative_trials(capsys):
     assert main(["selftest", "--trials", "-5", "--max-dim", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "input error: --trials must be >= 0, got -5\n"
+
+
+@pytest.mark.parametrize("field,scalar", [(QQ, "1_0"), (QQ, "1 / 2"), (QQ, "١"),
+                                          (GF(101), "1_0")])
+def test_cli_check_rejects_scalars_outside_the_grammar(tmp_path, capsys, field, scalar):
+    _, path = _write_fixture(tmp_path, "z2_adjoint", field)
+    doc = json.loads(path.read_text())
+    doc["mu"][0][-1] = scalar
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: bad ") and repr(scalar) in err
+    assert "Traceback" not in err

@@ -159,3 +159,33 @@ def test_d2_elimination_matches_dense_oracle(name, rank):
     reduced, pivots = _reduced_rows(d2)
     assert (reduced, pivots) == rref_modp(d2, 101)
     assert d2.rank() == len(pivots) == rank
+
+
+def _as_fractions(m):
+    return ExactMatrix(m.field, m.rows, m.cols,
+                       {c: {r: Fraction(v) for r, v in col.items()} for c, col in m.data.items()})
+
+
+def _gram_plus_identity(m, k):
+    """D^T D + 1 on the first k columns of m: positive definite, so invertible over Q."""
+    cols = [m.column(c) for c in range(k)]
+    return ExactMatrix.from_entries(QQ, k, k, (
+        (i, j, sum((v * cols[j].get(r, 0) for r, v in cols[i].items()), int(i == j)))
+        for i in range(k) for j in range(k)))
+
+
+@pytest.mark.parametrize("name", ["heap_z2", "dual_trivial"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_int_and_fraction_entries_eliminate_alike(name, n):
+    d = differential_matrix(build_fixture(name, QQ), n)
+    assert {type(v) for _, _, v in d.entries()} == {int}
+    q = _as_fractions(d)
+    assert q.rank() == d.rank() < d.rows
+    assert q.kernel_basis() == d.kernel_basis()
+    image = d.matvec([(-1) ** c * (c % 3) for c in range(d.cols)])
+    outside = next(r for r in range(d.rows) if isinstance(d.solve({r: 1}), SolveCertificate))
+    for b in (image, {outside: 1}, {outside: Fraction(1, 2)}):
+        fb = {r: Fraction(v) for r, v in (b.items() if isinstance(b, dict) else enumerate(b))}
+        assert q.solve(fb) == d.solve(b)
+    g = _gram_plus_identity(d, min(d.cols, 48))
+    assert invert_matrix(_as_fractions(g)).data == invert_matrix(g).data

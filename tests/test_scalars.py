@@ -97,3 +97,49 @@ def test_scalar_string_round_trip():
             assert field.unparse(field.parse(s)) == s
     ring = TruncatedRing(GF(3), 2)
     assert ring.unparse(ring.parse(["2", "1"])) == ["2", "1"]
+
+
+@pytest.mark.parametrize("text", ["1_0", "٣/٤", "٣", "1 / 2", "1/ 2", "1 /2",
+                                  "1/2/3", "/2", "1/", "", "+", "- 1", "0x10", "1.5", "1e3"])
+def test_rational_parse_accepts_only_signed_ascii_integers(text):
+    with pytest.raises(InputError):
+        QQ.parse(text)
+
+
+@pytest.mark.parametrize("text", ["1_0", "٣", "١٠", "- 1", "0x10", "", "1/1"])
+def test_residue_parse_accepts_only_signed_ascii_integers(text):
+    with pytest.raises(InputError):
+        GF(101).parse(text)
+
+
+def test_parse_keeps_whitespace_around_the_scalar():
+    assert QQ.parse(" 3/4\n") == Fraction(3, 4)
+    assert QQ.parse("\t-5 ") == -5
+    assert QQ.parse("+6/-4") == Fraction(-3, 2)
+    assert GF(101).parse(" -1\n") == 100
+    assert GF(101).parse("+7") == 7
+
+
+def test_rationals_are_ints_unless_they_need_a_denominator():
+    for v in (QQ.zero, QQ.one, QQ.from_int(-3), QQ.parse("6/2"), QQ.parse("-0"),
+              QQ.parse("12"), QQ.inv(-1), QQ.inv(Fraction(1, 3)), rational_normalize(-8, 4)):
+        assert type(v) is int, v
+    for v in (QQ.parse("1/2"), QQ.inv(2), QQ.inv(Fraction(-3, 4)), rational_normalize(2, -4)):
+        assert type(v) is Fraction, v
+    assert (QQ.parse("-0"), QQ.parse("6/2"), QQ.inv(-1)) == (0, 3, -1)
+    rng = SplitMix64(5)
+    for _ in range(500):
+        v = QQ.random(rng)
+        assert type(v) is (int if Fraction(v).denominator == 1 else Fraction)
+
+
+def test_rational_unparse_ignores_the_representation():
+    assert {QQ.unparse(v) for v in (2, Fraction(2), Fraction(4, 2))} == {"2"}
+    assert {QQ.unparse(v) for v in (-3, Fraction(-6, 2))} == {"-3"}
+    assert QQ.unparse(Fraction(-2, 4)) == "-1/2"
+
+
+def test_truncated_rational_ring_holds_ints():
+    ring = TruncatedRing(QQ, 3)
+    assert [type(x) for x in ring.one + ring.zero + ring.hbar] == [int] * 9
+    assert [type(x) for x in ring.inv(ring.one)] == [int] * 3

@@ -509,3 +509,13 @@ def test_compose_checks_each_product_once(monkeypatch):
     compose(f, g, h)
     assert len(checks) == 2  # one check per pairwise product
     assert keys == []        # one ring object: compared by identity
+
+
+@pytest.mark.parametrize("field,zero", [(QQ, 0), (QQ, Fraction(0)), (GF(5), 0), (GF(5), 5)])
+def test_stored_zeros_count_as_zero(field, zero):
+    f = TensorMap(field, 2, 1, 1, "sparse", {0: {0: 1}})
+    g = TensorMap(field, 2, 1, 1, "sparse", {0: {0: 1}, 1: {1: zero}})
+    assert f == g and g == f
+    assert (g - f).is_zero() and (f - g).is_zero()
+    assert TensorMap(field, 2, 1, 1, "sparse", {1: {1: zero}}).is_zero()
+    assert not g.is_zero() and g != TensorMap.zero(field, 2, 1, 1)
